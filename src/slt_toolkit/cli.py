@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "plan" and not args.frames and not args.manifest:
+    if args.command == "plan" and args.frames is None and not args.manifest:
         parser.error("plan requires --manifest or --frames")
     try:
         return args.func(args)

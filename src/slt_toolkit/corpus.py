@@ -99,7 +99,9 @@ def load_corpus(path: str | Path) -> Corpus:
         raw = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    # Split on "\n" only: write_corpus keeps U+2028, U+2029 and U+0085 raw
+    # inside JSON strings, where splitlines() would break them.
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -4,7 +4,7 @@ BLEU follows the classic corpus-level definition: clipped modified n-gram
 precisions up to order 4 summed over segments, combined by geometric mean,
 multiplied by the brevity penalty exp(1 - r/c) when the hypothesis is
 shorter than the reference. Tokenization is whitespace splitting; inputs
-are assumed pre-normalized.
+are assumed pre-normalized; scores sum per-segment sufficient statistics.
 
 Reduced BLEU deletes blacklisted stop/function words from both sides
 before scoring (``side="hyp"`` preserves the hypothesis-only reading).
@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -24,6 +25,7 @@ from .corpus import SegmentFile
 NGRAM_ORDER = 4
 
 Smoothing = Literal["none", "exp"]
+Segments = SegmentFile | Sequence[str]
 
 
 class ScoringError(ValueError):
@@ -39,74 +41,96 @@ class BleuScore:
     ref_len: int
 
     def to_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "precisions": list(self.precisions),
-            "brevity_penalty": self.brevity_penalty,
-            "hyp_len": self.hyp_len,
-            "ref_len": self.ref_len,
-        }
+        return asdict(self) | {"precisions": list(self.precisions)}
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence[str]) -> Counter:
+    """Counts of the n-grams of orders 1..NGRAM_ORDER (length = order)."""
+    # A list: star-unpacking a generator strands tuples on CPython free lists.
+    return Counter(chain.from_iterable(zip(*[tokens[k:] for k in range(n)])
+                                       for n in range(1, NGRAM_ORDER + 1)))
 
 
-def bleu(hyps: SegmentFile | Sequence[str], refs: SegmentFile | Sequence[str],
-         smoothing: Smoothing = "none") -> BleuScore:
-    hyp_lines = list(hyps)
+class _BleuStats:
+    """Sufficient statistics of corpus BLEU, summed over segments."""
+    def __init__(self) -> None:
+        self.matches, self.totals = [0] * NGRAM_ORDER, [0] * NGRAM_ORDER
+        self.hyp_len = self.ref_len = 0
+
+    def add(self, hyp_tokens: Sequence[str], ref_counts: Counter,
+            ref_len: int) -> None:
+        length = len(hyp_tokens)
+        self.hyp_len += length
+        self.ref_len += ref_len
+        for n in range(min(length, NGRAM_ORDER)):
+            self.totals[n] += length - n
+        for gram, count in _ngram_counts(hyp_tokens).items():
+            ref = ref_counts.get(gram)
+            if ref:
+                self.matches[len(gram) - 1] += count if count < ref else ref
+
+    def score(self, smoothing: Smoothing) -> BleuScore:
+        matches, totals = self.matches, self.totals
+        hyp_len, ref_len = self.hyp_len, self.ref_len
+        precisions = [0.0] * NGRAM_ORDER
+        log_sum = 0.0
+        zero_orders_seen = 0
+        zero_score = False
+        for n in range(NGRAM_ORDER):
+            if totals[n] == 0:
+                # No n-grams of this order: vacuous, excluded from the mean.
+                precisions[n] = 1.0
+                continue
+            if matches[n] > 0:
+                precisions[n] = matches[n] / totals[n]
+            elif smoothing == "exp":
+                precisions[n] = 1.0 / (2 ** zero_orders_seen * totals[n])
+                zero_orders_seen += 1
+            else:
+                precisions[n] = 0.0
+                zero_score = True
+            if not zero_score:
+                log_sum += math.log(precisions[n]) / NGRAM_ORDER
+        if hyp_len == 0:
+            return BleuScore(0.0, tuple(precisions), 1.0, 0, ref_len)
+        bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+        score = 0.0 if zero_score else 100.0 * bp * math.exp(log_sum)
+        return BleuScore(score, tuple(precisions), bp, hyp_len, ref_len)
+
+
+def _content(tokens: list[str], words: frozenset[str]) -> list[str]:
+    return [t for t in tokens if t.lower() not in words] if words else tokens
+
+
+def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
+                views: Sequence[tuple[frozenset[str], frozenset[str]]]
+                ) -> list[list[_BleuStats]]:
+    """Statistics of each labelled hypothesis set under each view (the words
+    deleted from hypothesis and reference), walking the references one segment
+    at a time. Only an empty unreduced reference side is an error."""
     ref_lines = list(refs)
-    if len(hyp_lines) != len(ref_lines):
-        raise ScoringError(
-            f"segment count mismatch: {len(hyp_lines)} hypotheses vs "
-            f"{len(ref_lines)} references")
+    hyp_sets = [list(hyps) for _, hyps in labelled]
+    for (label, _), hyp_lines in zip(labelled, hyp_sets):
+        if len(hyp_lines) != len(ref_lines):
+            raise ScoringError(f"{label}: {len(hyp_lines)} hypothesis "
+                               f"segments vs {len(ref_lines)} references")
     if not any(line.split() for line in ref_lines):
         raise ScoringError("reference corpus is empty")
-
-    matches = [0] * NGRAM_ORDER
-    totals = [0] * NGRAM_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp_line, ref_line in zip(hyp_lines, ref_lines):
-        hyp_tokens = hyp_line.split()
+    stats = [[_BleuStats() for _ in hyp_sets] for _ in views]
+    for ref_line, *hyp_lines in zip(ref_lines, *hyp_sets):
         ref_tokens = ref_line.split()
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
-        for n in range(1, NGRAM_ORDER + 1):
-            hyp_counts = _ngrams(hyp_tokens, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngrams(ref_tokens, n)
-            totals[n - 1] += sum(hyp_counts.values())
-            matches[n - 1] += sum(
-                min(count, ref_counts[gram])
-                for gram, count in hyp_counts.items())
+        hyp_tokens = [line.split() for line in hyp_lines]
+        for (hyp_words, ref_words), row in zip(views, stats):
+            kept = _content(ref_tokens, ref_words)
+            ref_counts = _ngram_counts(kept)
+            for tokens, entry in zip(hyp_tokens, row):
+                entry.add(_content(tokens, hyp_words), ref_counts, len(kept))
+    return stats
 
-    precisions = [0.0] * NGRAM_ORDER
-    log_sum = 0.0
-    zero_orders_seen = 0
-    zero_score = False
-    for n in range(NGRAM_ORDER):
-        if totals[n] == 0:
-            # No n-grams of this order exist; vacuous, excluded from the mean.
-            precisions[n] = 1.0
-            continue
-        if matches[n] > 0:
-            precisions[n] = matches[n] / totals[n]
-        elif smoothing == "exp":
-            precisions[n] = 1.0 / (2 ** zero_orders_seen * totals[n])
-            zero_orders_seen += 1
-        else:
-            precisions[n] = 0.0
-            zero_score = True
-        if not zero_score:
-            log_sum += math.log(precisions[n]) / NGRAM_ORDER
 
-    if hyp_len == 0:
-        return BleuScore(0.0, tuple(precisions), 1.0, 0, ref_len)
-    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    score = 0.0 if zero_score else 100.0 * bp * math.exp(log_sum)
-    return BleuScore(score, tuple(precisions), bp, hyp_len, ref_len)
+def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuScore:
+    return _accumulate([("segment count mismatch", hyps)], refs,
+                       [(frozenset(), frozenset())])[0][0].score(smoothing)
 
 
 @dataclass(frozen=True)
@@ -128,15 +152,8 @@ class StopList:
     def from_lines(lines: Iterable[str]) -> "StopList":
         """Lowercase and dedupe; apostrophized entries also contribute their
         apostrophe-stripped form ("geht's" -> "gehts")."""
-        words: set[str] = set()
-        for line in lines:
-            word = line.strip().lower()
-            if not word:
-                continue
-            words.add(word)
-            if "'" in word:
-                words.add(word.replace("'", ""))
-        return StopList(frozenset(words))
+        words = {word for line in lines if (word := line.strip().lower())}
+        return StopList(frozenset(words | {w.replace("'", "") for w in words}))
 
     @staticmethod
     def from_file(path: str | Path) -> "StopList":
@@ -150,31 +167,21 @@ def default_stoplist() -> StopList:
 
 
 def remove_stopwords(segment: str, stops: StopList) -> str:
-    return " ".join(t for t in segment.split() if t.lower() not in stops)
+    return " ".join(_content(segment.split(), stops.words))
 
 
-def reduced_bleu(hyps: SegmentFile | Sequence[str],
-                 refs: SegmentFile | Sequence[str], stops: StopList,
+def reduced_bleu(hyps: Segments, refs: Segments, stops: StopList,
                  smoothing: Smoothing = "none",
                  side: Literal["both", "hyp"] = "both") -> BleuScore:
-    filtered_hyps = [remove_stopwords(line, stops) for line in hyps]
-    if side == "both":
-        filtered_refs = [remove_stopwords(line, stops) for line in refs]
-    else:
-        filtered_refs = list(refs)
-    return bleu(filtered_hyps, filtered_refs, smoothing)
+    view = (stops.words, stops.words if side == "both" else frozenset())
+    return _accumulate([("segment count mismatch", hyps)], refs,
+                       [view])[0][0].score(smoothing)
 
 
-def count_stopwords(hyps: SegmentFile | Sequence[str],
-                    stops: StopList) -> tuple[int, float]:
-    count = 0
-    total = 0
-    for line in hyps:
-        for token in line.split():
-            total += 1
-            if token.lower() in stops:
-                count += 1
-    return count, (count / total if total else 0.0)
+def count_stopwords(hyps: Segments, stops: StopList) -> tuple[int, float]:
+    tokens = [token for line in hyps for token in line.split()]
+    count = len(tokens) - len(_content(tokens, stops.words))
+    return count, (count / len(tokens) if tokens else 0.0)
 
 
 @dataclass(frozen=True)
@@ -204,29 +211,22 @@ class SelectionReport:
         }
 
 
-def select_checkpoint(candidates: Sequence[tuple[str, SegmentFile | Sequence[str]]],
-                      refs: SegmentFile | Sequence[str], stops: StopList,
+def select_checkpoint(candidates: Sequence[tuple[str, Segments]],
+                      refs: Segments, stops: StopList,
                       smoothing: Smoothing = "none") -> SelectionReport:
     """Rank candidates by reduced BLEU; ties break toward fewer stop words,
     then lexicographic name."""
     if not candidates:
         raise ScoringError("need at least one candidate")
-    ref_lines = list(refs)
-    scored: list[CandidateScores] = []
-    for name, hyps in candidates:
-        hyp_lines = list(hyps)
-        if len(hyp_lines) != len(ref_lines):
-            raise ScoringError(
-                f"candidate '{name}': {len(hyp_lines)} segments vs "
-                f"{len(ref_lines)} references")
-        count, fraction = count_stopwords(hyp_lines, stops)
-        scored.append(CandidateScores(
-            name=name,
-            bleu=bleu(hyp_lines, ref_lines, smoothing),
-            reduced=reduced_bleu(hyp_lines, ref_lines, stops, smoothing),
-            stopword_count=count,
-            stopword_fraction=fraction,
-        ))
+    full, reduced = _accumulate(
+        [(f"candidate '{name}'", hyps) for name, hyps in candidates], refs,
+        [(frozenset(), frozenset()), (stops.words, stops.words)])
+    scored = []
+    for (name, _), whole, kept in zip(candidates, full, reduced):
+        count = whole.hyp_len - kept.hyp_len
+        fraction = count / whole.hyp_len if whole.hyp_len else 0.0
+        scored.append(CandidateScores(name, whole.score(smoothing),
+                                      kept.score(smoothing), count, fraction))
     winner = min(scored, key=lambda c: (-c.reduced.score, c.stopword_count,
                                         c.name))
     return SelectionReport(tuple(scored), winner.name)

@@ -114,7 +114,7 @@ def _expand_date(span: str) -> str:
 def _expand_decimal(span: str) -> str:
     whole, frac = span.split(",")
     frac_words = " ".join(spell_number_de(int(d)) for d in frac)
-    return f"{spell_number_de(int(whole))} komma {frac_words}"
+    return f"{_spell_integer(whole)} komma {frac_words}"
 
 
 def _expand_numeric(text: str, cfg: NormConfig) -> str:

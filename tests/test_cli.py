@@ -148,6 +148,12 @@ def test_plan_single_frames(capsys):
     assert payload["feature_dim"] == 1024
 
 
+def test_plan_zero_frames(capsys):
+    assert main(["plan", "--frames", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["window_starts"] == []
+
+
 def test_plan_manifest(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
     manifest.write_text(

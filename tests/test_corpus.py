@@ -74,6 +74,16 @@ def test_corpus_roundtrip(tmp_path):
                (back.id, back.text, back.source, back.duration_s)
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_corpus_roundtrip_unicode_line_separators(tmp_path, sep):
+    corpus = Corpus((Utterance("a", f"vor{sep}nach", Source.SRF),
+                     Utterance("b", "zweite zeile")))
+    path = tmp_path / "out.jsonl"
+    write_corpus(corpus, path)
+    assert [u.text for u in load_corpus(path)] == [f"vor{sep}nach",
+                                                   "zweite zeile"]
+
+
 def test_negative_duration_rejected():
     with pytest.raises(CorpusError):
         Utterance("a", "x", duration_s=-1.0)

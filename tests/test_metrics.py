@@ -9,6 +9,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.metrics import (
     ScoringError,
@@ -230,3 +231,63 @@ def test_select_misaligned_candidate_named():
     stops = default_stoplist()
     with pytest.raises(ScoringError, match="bad"):
         select_checkpoint([("bad", ["x", "y"])], ["x"], stops)
+
+
+def test_select_all_stopword_reference_scores_zero():
+    stops = default_stoplist()
+    report = select_checkpoint([("a", ["der hund"]), ("b", ["hund"])],
+                               ["der die"], stops)
+    assert [c.reduced.score for c in report.candidates] == [0.0, 0.0]
+    assert report.winner == "b"  # tie on 0.0: fewer stop words wins
+    assert reduced_bleu(["der hund"], ["der die"], stops).score == 0.0
+    with pytest.raises(ScoringError, match="empty"):
+        reduced_bleu(["hund"], [""], stops)
+
+
+# Half of the vocabulary is stop words, so reduced sides are often short or
+# empty; "Der" exercises the case-insensitive stop-word match.
+_VOCAB = ["der", "Der", "die", "und", "hund", "katze", "bellt", "laut"]
+
+
+def _segments(n, min_tokens):
+    line = st.lists(st.sampled_from(_VOCAB), min_size=min_tokens,
+                    max_size=7).map(" ".join)
+    return st.lists(line, min_size=n, max_size=n)
+
+
+@st.composite
+def _selection_inputs(draw):
+    n = draw(st.integers(1, 6))
+    refs = draw(_segments(n, 1))
+    candidates = [(f"c{i}", draw(_segments(n, 0)))
+                  for i in range(draw(st.integers(1, 5)))]
+    return refs, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(_selection_inputs(), st.sampled_from(["none", "exp"]))
+def test_select_scores_equal_standalone_and_oracle(inputs, smoothing):
+    refs, candidates = inputs
+    stops = default_stoplist()
+    report = select_checkpoint(candidates, refs, stops, smoothing)
+    assert [c.name for c in report.candidates] == [n for n, _ in candidates]
+
+    def strip(lines):
+        return [" ".join(t for t in line.split() if t.lower() not in
+                         stops.words) for line in lines]
+
+    for (_, hyps), scores in zip(candidates, report.candidates):
+        assert scores.bleu == bleu(hyps, refs, smoothing)
+        assert scores.reduced == reduced_bleu(hyps, refs, stops, smoothing)
+        assert (scores.stopword_count, scores.stopword_fraction) == \
+            count_stopwords(hyps, stops)
+        if smoothing == "none":
+            assert scores.bleu.score == pytest.approx(
+                oracle_bleu(hyps, refs), abs=1e-9)
+            assert scores.reduced.score == pytest.approx(
+                oracle_bleu(strip(hyps), strip(refs)), abs=1e-9)
+            assert reduced_bleu(hyps, refs, stops, side="hyp").score == \
+                pytest.approx(oracle_bleu(strip(hyps), refs), abs=1e-9)
+    bad = ("bad", candidates[0][1] + ["hund"])
+    with pytest.raises(ScoringError, match="candidate 'bad'"):
+        select_checkpoint(candidates + [bad], refs, stops, smoothing)

@@ -164,6 +164,13 @@ def test_normalize_decimal():
     assert normalize_text("3,5 Prozent") == "drei komma fünf prozent"
 
 
+def test_normalize_oversized_decimal():
+    out = normalize_text("1234567890123,5")
+    assert not any(ch.isdigit() for ch in out)
+    assert out.endswith(" komma fünf")
+    assert normalize_text(out) == out
+
+
 def test_normalize_umlauts_survive():
     assert normalize_text("Straße & Größe") == "straße größe"
 
