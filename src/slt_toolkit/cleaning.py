@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from itertools import filterfalse
 from pathlib import Path
 
 from .corpus import Corpus, Utterance
@@ -105,19 +106,34 @@ DEFAULT_STATUS_PATTERNS = (
 DEFAULT_FOREIGN_THRESHOLD = 0.3
 
 _ASTERISK_SPAN_RE = re.compile(r"\*[^*]*\*")
+# A run of cue spans with the ASCII spaces and tabs around them; it pairs
+# asterisks exactly as _ASTERISK_SPAN_RE does.
+_CUE_RUN_RE = re.compile(r"(?:[ \t]*\*[^*]*\*)+[ \t]*")
+# Leading and trailing non-word characters of a token.
+_TOKEN_EDGE_RE = re.compile(r"^\W+|\W+$")
 
 
 def detect_language(text: str,
                     profiles: list[LanguageProfile]) -> tuple[Language, dict[Language, float]]:
     """Score = fraction of whitespace tokens found in each profile's word set.
 
-    Returns the argmax language; ties (including empty text) break toward DE.
+    A token is found if it is in the set as written or with its leading and
+    trailing non-word characters removed ("the," and "in." count for EN,
+    "d'" for FR). Returns the argmax language; ties (including empty text)
+    break toward DE.
     """
     tokens = text.lower().split()
+    # Only tokens with a non-alphanumeric character are stripped, once for
+    # all profiles: stripping every token costs more than the lookups.
+    edged = [(t, _TOKEN_EDGE_RE.sub("", t))
+             for t in filterfalse(str.isalnum, tokens)]
     scores: dict[Language, float] = {}
     for profile in profiles:
         if tokens:
-            hits = sum(1 for t in tokens if t in profile.function_words)
+            words = profile.function_words
+            hits = sum(map(words.__contains__, tokens))
+            hits += sum(1 for raw, bare in edged
+                        if bare in words and raw not in words)
             scores[profile.language] = hits / len(tokens)
         else:
             scores[profile.language] = 0.0
@@ -144,12 +160,16 @@ def match_status_message(text: str, patterns: list[str] | tuple[str, ...]) -> bo
 
 
 def strip_asterisk_spans(text: str) -> tuple[str, list[str]]:
-    """Remove *...* spans (non-greedy pairs); unpaired '*' is left alone."""
+    """Remove *...* spans (non-greedy pairs); unpaired '*' is left alone.
+
+    Each run of spans goes together with the ASCII spaces and tabs next to
+    it and leaves one space, then the ends are trimmed. All other text,
+    thin spaces that group thousands included, stays verbatim.
+    """
     matches = _ASTERISK_SPAN_RE.findall(text)
     if not matches:
         return text, []
-    stripped = _ASTERISK_SPAN_RE.sub(" ", text)
-    return " ".join(stripped.split()), matches
+    return _CUE_RUN_RE.sub(" ", text).strip(), matches
 
 
 @dataclass(frozen=True)
@@ -176,13 +196,12 @@ DEFAULT_RULES = tuple(CleanRule(name) for name in (
     RuleName.STATUS_MESSAGE, RuleName.FOREIGN_SENTENCE))
 
 
-def _clean_one(utt: Utterance, rules: tuple[CleanRule, ...],
+def _clean_one(utt: Utterance, rule_names: list[RuleName],
                profiles: list[LanguageProfile],
                cfg: CleanConfig) -> CleanOutcome:
     text = utt.text
     hits: list[tuple[RuleName, str]] = []
     edited = False
-    rule_names = [r.name for r in rules if r.name in cfg.enabled]
 
     if RuleName.ASTERISK_SOUND in rule_names:
         text, spans = strip_asterisk_spans(text)
@@ -221,20 +240,25 @@ def clean_corpus(corpus: Corpus,
         raise ValueError("rules must be nonempty")
     if profiles is None:
         profiles = default_profiles()
-    outcomes = [_clean_one(u, rules, profiles, cfg) for u in corpus]
+    rule_names = [r.name for r in rules if r.name in cfg.enabled]
+    outcomes = [_clean_one(u, rule_names, profiles, cfg) for u in corpus]
     survivors = tuple(
-        Utterance(u.id, o.text, u.source, u.duration_s)
+        u if o.verdict is Verdict.KEPT
+        else Utterance(u.id, o.text, u.source, u.duration_s)
         for u, o in zip(corpus, outcomes) if o.verdict is not Verdict.DROPPED)
     return Corpus(survivors), outcomes
+
+
+_REPORT_JSON = json.JSONEncoder(ensure_ascii=False)
 
 
 def write_clean_report(outcomes: list[CleanOutcome], path: str | Path) -> None:
     lines = []
     for o in outcomes:
-        lines.append(json.dumps({
+        lines.append(_REPORT_JSON.encode({
             "id": o.id,
             "verdict": o.verdict.value,
             "hits": [[name.value, span] for name, span in o.hits],
-        }, ensure_ascii=False))
+        }))
     Path(path).write_text("".join(line + "\n" for line in lines),
                           encoding="utf-8")

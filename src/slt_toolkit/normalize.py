@@ -13,8 +13,11 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 
@@ -47,12 +50,28 @@ def find_numeric_spans(text: str) -> list[tuple[str, SpanKind]]:
 
 @dataclass(frozen=True)
 class AbbrevTable:
-    entries: dict[str, str]
+    entries: Mapping[str, str]
 
     def __post_init__(self) -> None:
         for key, value in self.entries.items():
             if not key or not value:
                 raise ValueError("abbreviation keys and values must be nonempty")
+        # A read-only copy: the matcher is compiled from the keys once, and
+        # the default table is shared by every caller.
+        object.__setattr__(self, "entries",
+                           MappingProxyType(dict(self.entries)))
+
+    @cached_property
+    def matcher(self) -> re.Pattern | None:
+        """One pattern for all keys, longest first so "z.B." wins over a
+        hypothetical "z." entry; None for an empty table. Built on first
+        use. The word-boundary lookarounds wrap the whole alternation:
+        repeated in front of every key, the lookbehind cost over 15x more."""
+        if not self.entries:
+            return None
+        keys = sorted(self.entries, key=len, reverse=True)
+        return re.compile(
+            r"(?<!\w)(?:" + "|".join(map(re.escape, keys)) + r")(?!\w)")
 
     @staticmethod
     def from_tsv(path: str | Path) -> "AbbrevTable":
@@ -68,7 +87,9 @@ class AbbrevTable:
         return AbbrevTable(entries)
 
 
+@cache
 def default_abbrev_table() -> AbbrevTable:
+    """The bundled table, read once per process and shared by all callers."""
     path = resources.files("slt_toolkit.data") / "abbreviations_de.tsv"
     return AbbrevTable.from_tsv(str(path))
 
@@ -83,11 +104,9 @@ class NormConfig:
 
 
 def _expand_abbreviations(text: str, table: AbbrevTable) -> str:
-    # Longest keys first so "z.B." wins over a hypothetical "z." entry.
-    keys = sorted(table.entries, key=len, reverse=True)
-    pattern = re.compile(
-        "|".join(r"(?<!\w)" + re.escape(k) + r"(?!\w)" for k in keys))
-    return pattern.sub(lambda m: table.entries[m.group()], text)
+    if table.matcher is None:
+        return text
+    return table.matcher.sub(lambda m: table.entries[m.group()], text)
 
 
 def _spell_integer(digits: str) -> str:
@@ -117,6 +136,36 @@ def _expand_decimal(span: str) -> str:
     return f"{_spell_integer(whole)} komma {frac_words}"
 
 
+class _CodePointMap(dict):
+    """`str.translate` table that works out a code point's replacement on
+    first sight. Only code points below U+3000 are remembered, so memory
+    stays bounded whatever the input; a table of all 1.1M code points
+    built up front would cost every process start."""
+
+    def __init__(self, replace: Callable[[str], str]) -> None:
+        super().__init__()
+        self._replace = replace
+
+    def __missing__(self, cp: int) -> str:
+        value = self._replace(chr(cp))
+        if cp < 0x3000:
+            self[cp] = value
+        return value
+
+
+# Unicode punctuation (P*) and symbols (S*) become spaces; letters
+# including umlauts and ß are untouched.
+_PUNCT_MAP = _CodePointMap(
+    lambda ch: " " if unicodedata.category(ch)[0] in "PS" else ch)
+
+# Digits that are not decimal (superscripts, subscripts, circled digits:
+# "²", "₂", "①") escape the \d of _NUMERIC_RE but are str.isdigit; each is
+# spelled as its own word.
+_DIGIT_MAP = _CodePointMap(
+    lambda ch: f" {spell_number_de(unicodedata.digit(ch))} "
+    if ch.isdigit() and not ch.isdecimal() else ch)
+
+
 def _expand_numeric(text: str, cfg: NormConfig) -> str:
     def repl(m: re.Match) -> str:
         kind = SpanKind[m.lastgroup]
@@ -130,14 +179,14 @@ def _expand_numeric(text: str, cfg: NormConfig) -> str:
             return _expand_decimal(m.group())
         return _spell_integer(_SEPARATORS_RE.sub("", m.group()))
 
-    return _NUMERIC_RE.sub(repl, text)
+    text = _NUMERIC_RE.sub(repl, text)
+    if cfg.expand_numbers:
+        text = text.translate(_DIGIT_MAP)
+    return text
 
 
 def _strip_punctuation(text: str) -> str:
-    # Unicode punctuation (P*) and symbols (S*) become spaces; letters
-    # including umlauts and ß are untouched.
-    return "".join(
-        " " if unicodedata.category(ch)[0] in "PS" else ch for ch in text)
+    return text.translate(_PUNCT_MAP)
 
 
 def normalize_text(text: str, table: AbbrevTable | None = None,

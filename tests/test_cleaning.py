@@ -71,6 +71,15 @@ def test_asterisk_pairs_nongreedy():
     assert spans == ["*a*", "*b*"]
 
 
+def test_sound_cue_keeps_thin_space_thousands():
+    for text, want in [("*Applaus* Es kamen 1\u202f620 Leute.",
+                        "Es kamen 1\u202f620 Leute."),
+                       ("Es kamen 1\u2009620 Leute\t*Musik*",
+                        "Es kamen 1\u2009620 Leute"),
+                       ("a  b *c* *d* e", "a  b e")]:
+        assert strip_asterisk_spans(text)[0] == want
+
+
 def test_order_preserved_and_one_outcome_each():
     texts = ["eins zwei", "#drop", "drei vier", "*nur musik*", "fünf"]
     corpus = _corpus(texts)
@@ -100,6 +109,19 @@ def test_detect_language_english():
     assert lang is Language.EN
     # the, is, on, the in the EN list; cat/mat not
     assert abs(scores[Language.EN] - 4 / 6) < 1e-12
+
+
+def test_detect_language_punctuated_function_words():
+    profiles = default_profiles()
+    lang, scores = detect_language("the, of, and, to, in.", profiles)
+    assert lang is Language.EN and scores[Language.EN] == 1.0
+    lang, _ = detect_language("Merci à vous.", profiles)
+    assert lang is Language.FR
+    # The raw form still counts: "d'" is listed as written, "d" is not.
+    assert "d" not in profiles[1].function_words
+    lang, scores = detect_language("d' la, vie", profiles)
+    assert lang is Language.FR
+    assert abs(scores[Language.FR] - 2 / 3) < 1e-12
 
 
 def test_foreign_sentence_dropped_conservatively():

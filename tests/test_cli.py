@@ -123,6 +123,16 @@ def test_normalize_no_numbers_flag(tmp_path, seg):
     assert list(load_segments(out)) == ["42 franken"]
 
 
+def test_normalize_empty_abbrev_table(tmp_path, seg):
+    inp = seg("in.txt", ["3 Mrd. Franken"])
+    table = tmp_path / "empty.tsv"
+    table.write_text("", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["normalize", "--in", inp, "--out", str(out),
+                 "--abbrev", str(table)]) == 0
+    assert list(load_segments(out)) == ["drei mrd franken"]
+
+
 def test_itn_segments(tmp_path, seg):
     inp = seg("in.txt", ["das kostet zweiundvierzig franken"])
     out = tmp_path / "out.txt"

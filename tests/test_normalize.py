@@ -6,12 +6,21 @@ composition rules applied by hand for spot checks above 100.
 """
 
 import random
+import re
 import string
+import sys
+import unicodedata
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.normalize import (
+    AbbrevTable,
+    NormConfig,
     SpanKind,
+    _expand_abbreviations,
+    _strip_punctuation,
+    default_abbrev_table,
     find_numeric_spans,
     normalize_text,
 )
@@ -193,3 +202,82 @@ def test_normalize_output_is_clean_and_idempotent():
         assert not any(ch.isupper() for ch in out), (text, out)
         assert out == out.strip() and "  " not in out
         assert normalize_text(out) == out, (text, out)
+
+
+def test_normalize_non_decimal_digits_spelled():
+    assert normalize_text("34 m²") == "vierunddreißig m zwei"
+    assert normalize_text("CO₂ und ① ²³") == "co zwei und eins zwei drei"
+    no_numbers = NormConfig(expand_numbers=False)
+    assert normalize_text("42 Franken", cfg=no_numbers) == "42 franken"
+    assert normalize_text("34 m²", cfg=no_numbers) == "34 m²"
+    every = [chr(cp) for cp in range(sys.maxunicode + 1)
+             if chr(cp).isdigit() and not chr(cp).isdecimal()]
+    assert len(every) == 128
+    out = normalize_text(" ".join(every))
+    assert not any(ch.isdigit() for ch in out)
+    assert len(out.split()) == 128
+
+
+def test_normalize_empty_abbrev_table_expands_nothing():
+    assert normalize_text("3 Mrd. Franken", AbbrevTable({})) == \
+        "drei mrd franken"
+
+
+def test_default_abbrev_table_shared_and_read_only():
+    table = default_abbrev_table()
+    assert default_abbrev_table() is table
+    with pytest.raises(TypeError):
+        table.entries["Mrd."] = "Milliardchen"
+    entries = {"Mrd.": "Milliarden"}
+    own = AbbrevTable(entries)
+    entries["Mio."] = "Millionen"
+    assert dict(own.entries) == {"Mrd.": "Milliarden"}
+
+
+# Reference versions of the abbreviation and punctuation steps, one regex
+# alternative and one category lookup per character.
+def _expand_abbreviations_oracle(text, table):
+    keys = sorted(table.entries, key=len, reverse=True)
+    pattern = re.compile(
+        "|".join(r"(?<!\w)" + re.escape(k) + r"(?!\w)" for k in keys))
+    return pattern.sub(lambda m: table.entries[m.group()], text)
+
+
+def _strip_punctuation_oracle(text):
+    return "".join(
+        " " if unicodedata.category(ch)[0] in "PS" else ch for ch in text)
+
+
+_ANY_CHAR = st.characters(blacklist_categories=("Cs",))
+_PUNCT_OR_SYMBOL = st.characters(whitelist_categories=(
+    "Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Sm", "Sc", "Sk", "So"))
+_ASTRAL = st.characters(min_codepoint=0x10000)
+_TEXT = st.text(st.one_of(_ANY_CHAR, _PUNCT_OR_SYMBOL, _ASTRAL,
+                          st.sampled_from(_FUZZ_ALPHABET + "\u2009²₃①")),
+                max_size=40)
+# A small key alphabet, so that one key is often a prefix of another.
+_KEY = st.text(st.sampled_from("aB.-_ ß²"), min_size=1, max_size=3)
+_TABLE = st.dictionaries(_KEY, st.text(_ANY_CHAR, min_size=1, max_size=4),
+                         min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fast_steps_equal_reference_versions(data):
+    table = AbbrevTable(data.draw(_TABLE))
+    text = "".join(data.draw(st.lists(
+        st.one_of(_TEXT, st.sampled_from(sorted(table.entries) + [" "])),
+        max_size=8)))
+    assert _expand_abbreviations(text, table) == \
+        _expand_abbreviations_oracle(text, table)
+    assert _strip_punctuation(text) == _strip_punctuation_oracle(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_TEXT, st.sampled_from(
+    ["Mrd.", "z. B.", "3.10.2022", "31.2.2021", "1.000,5", "m²", " "])),
+    max_size=6))
+def test_normalize_digit_free_and_idempotent(pieces):
+    out = normalize_text("".join(pieces))
+    assert not any(ch.isdigit() for ch in out)
+    assert normalize_text(out) == out
