@@ -71,6 +71,11 @@ class Language(Enum):
     FR = "FR"
     EN = "EN"
 
+    # Members compare by identity, so the identity hash agrees with
+    # equality; Enum's own __hash__ is Python code, run on every lookup of
+    # the per-utterance scores.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class LanguageProfile:

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import cleaning, frameplan, itn, metrics, stats
-from .corpus import CorpusError, load_corpus, load_segments, write_corpus, \
-    write_segments
+from .corpus import CorpusError, load_corpus, load_segments, read_jsonl, \
+    write_corpus, write_segments
 from .normalize import AbbrevTable, NormConfig, default_abbrev_table, \
     normalize_text
 
@@ -148,19 +148,15 @@ def _cmd_plan(args) -> int:
         print(json.dumps(plan.to_dict()))
         return 0
     lines = []
-    for lineno, line in enumerate(
-            Path(args.manifest).read_text(encoding="utf-8").splitlines(),
-            start=1):
-        if not line.strip():
-            continue
+    for lineno, obj in read_jsonl(args.manifest):
         try:
-            obj = json.loads(line)
             plan = frameplan.plan_windows(
                 int(obj["frame_count"]), win,
                 width=obj.get("width"), height=obj.get("height"))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CorpusError(f"manifest line {lineno}: {exc}") from exc
-        lines.append(json.dumps({"id": obj["id"]} | plan.to_dict()))
+            lines.append(json.dumps({"id": obj["id"]} | plan.to_dict()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(
+                f"{args.manifest}: line {lineno}: {exc}") from exc
     output = "".join(line + "\n" for line in lines)
     if args.output:
         Path(args.output).write_text(output, encoding="utf-8")

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 
 class Source(Enum):
@@ -70,54 +70,75 @@ class SegmentFile:
         return iter(self.lines)
 
 
-def _utterance_from_obj(obj: dict, lineno: int) -> Utterance:
-    if "id" not in obj or "text" not in obj:
-        raise CorpusError(f"line {lineno}: missing required field 'id' or 'text'")
-    source = Source.OTHER
-    if "source" in obj and obj["source"] is not None:
-        try:
-            source = Source(obj["source"])
-        except ValueError:
-            raise CorpusError(
-                f"line {lineno}: unknown source '{obj['source']}'"
-            ) from None
-    duration = obj.get("duration_s")
-    if duration is not None:
-        duration = float(duration)
-        if duration < 0:
-            raise CorpusError(f"line {lineno}: duration_s must be >= 0")
-    return Utterance(id=str(obj["id"]), text=str(obj["text"]), source=source,
-                     duration_s=duration)
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each nonblank line of a JSONL file.
 
-
-def load_corpus(path: str | Path) -> Corpus:
-    """Read a JSONL corpus; one object per line with at least id and text."""
+    Lines are split on "\n" only: write_corpus keeps U+2028, U+2029 and
+    U+0085 raw inside JSON strings, where splitlines() would break them.
+    Errors name the file and the line.
+    """
     path = Path(path)
-    utterances: List[Utterance] = []
-    seen: dict[str, int] = {}
     try:
         raw = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
-    # Split on "\n" only: write_corpus keeps U+2028, U+2029 and U+0085 raw
-    # inside JSON strings, where splitlines() would break them.
     for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {lineno}: malformed JSON: {exc.msg}") from exc
+            raise CorpusError(
+                f"{path}: line {lineno}: malformed JSON: {exc.msg}") from exc
         if not isinstance(obj, dict):
-            raise CorpusError(f"line {lineno}: expected a JSON object")
-        utt = _utterance_from_obj(obj, lineno)
+            raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
+        yield lineno, obj
+
+
+def _utterance_from_obj(obj: dict, path: str | Path, lineno: int) -> Utterance:
+    if "id" not in obj or "text" not in obj:
+        raise CorpusError(
+            f"{path}: line {lineno}: missing required field 'id' or 'text'")
+    source = Source.OTHER
+    if "source" in obj and obj["source"] is not None:
+        try:
+            source = Source(obj["source"])
+        except ValueError:
+            raise CorpusError(
+                f"{path}: line {lineno}: unknown source '{obj['source']}'"
+            ) from None
+    duration = obj.get("duration_s")
+    if duration is not None:
+        try:
+            duration = float(duration)
+        except (TypeError, ValueError):
+            raise CorpusError(
+                f"{path}: line {lineno}: duration_s must be a number"
+            ) from None
+    try:
+        return Utterance(id=str(obj["id"]), text=str(obj["text"]),
+                         source=source, duration_s=duration)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Read a JSONL corpus; one object per line with at least id and text."""
+    utterances: List[Utterance] = []
+    seen: dict[str, int] = {}
+    for lineno, obj in read_jsonl(path):
+        utt = _utterance_from_obj(obj, path, lineno)
         if utt.id in seen:
             raise CorpusError(
-                f"duplicate id '{utt.id}' (lines {seen[utt.id]} and {lineno})"
+                f"{path}: duplicate id '{utt.id}' "
+                f"(lines {seen[utt.id]} and {lineno})"
             )
         seen[utt.id] = lineno
         utterances.append(utt)
     return Corpus(tuple(utterances))
+
+
+_CORPUS_JSON = json.JSONEncoder(ensure_ascii=False)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -126,7 +147,7 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
         obj: dict = {"id": utt.id, "text": utt.text, "source": utt.source.value}
         if utt.duration_s is not None:
             obj["duration_s"] = utt.duration_s
-        lines.append(json.dumps(obj, ensure_ascii=False))
+        lines.append(_CORPUS_JSON.encode(obj))
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 

@@ -20,6 +20,14 @@ _TEENS = ["zehn", "elf", "zwölf", "dreizehn", "vierzehn", "fünfzehn",
 _TENS = ["", "", "zwanzig", "dreißig", "vierzig", "fünfzig", "sechzig",
          "siebzig", "achtzig", "neunzig"]
 
+# Every spelling parse_number_de accepts is a concatenation of these
+# pieces, and begins with one of the start pieces.
+NUMBER_START_PIECES = frozenset(
+    _UNITS[1:] + _TEENS + _TENS[2:] + ["ein", "eine", "null"])
+NUMBER_PIECES = NUMBER_START_PIECES | {
+    "hundert", "und", "tausend", "million", "millionen", "milliarde",
+    "milliarden"}
+
 MONTHS = ["januar", "februar", "märz", "april", "mai", "juni", "juli",
           "august", "september", "oktober", "november", "dezember"]
 

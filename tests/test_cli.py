@@ -177,6 +177,22 @@ def test_plan_manifest(tmp_path, capsys):
     assert plans[1]["tail_padding"] == 24
 
 
+def test_plan_manifest_keeps_unicode_line_separator(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"id":"a\u2028b","frame_count":40}\n',
+                        encoding="utf-8")
+    assert main(["plan", "--manifest", str(manifest)]) == 0
+    assert json.loads(capsys.readouterr().out)["id"] == "a\u2028b"
+
+
+def test_plan_manifest_error_names_file_and_line(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"id":"v1","frame_count":40}\n\n{oops\n',
+                        encoding="utf-8")
+    assert main(["plan", "--manifest", str(manifest)]) == 2
+    assert f"{manifest}: line 3: malformed JSON" in capsys.readouterr().err
+
+
 def test_deterministic_output(seg, capsys):
     hyp = seg("h.txt", ["x y z"])
     ref = seg("r.txt", ["x y w"])

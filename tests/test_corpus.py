@@ -1,5 +1,7 @@
 """Tests for corpus and segment file I/O."""
 
+import re
+
 import pytest
 
 from slt_toolkit.corpus import (
@@ -87,6 +89,18 @@ def test_corpus_roundtrip_unicode_line_separators(tmp_path, sep):
 def test_negative_duration_rejected():
     with pytest.raises(CorpusError):
         Utterance("a", "x", duration_s=-1.0)
+
+
+@pytest.mark.parametrize("fields", ['"id":"","text":"x"',
+                                    '"id":"a","text":"x","duration_s":-1',
+                                    '"id":"a","text":"x","duration_s":"abc"',
+                                    '"id":"a","text":"x","duration_s":[1]'])
+def test_load_corpus_bad_field_names_file_and_line(tmp_path, fields):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id":"z","text":"ok"}\n{' + fields + '}\n',
+                    encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 2: "):
+        load_corpus(path)
 
 
 def test_load_segments_basic(tmp_path):

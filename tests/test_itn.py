@@ -1,7 +1,23 @@
 """Tests for inverse text normalization (number contraction, display form)."""
 
-from slt_toolkit.itn import contract_numbers_de, restore_display
-from slt_toolkit.numbers_de import parse_number_de, spell_number_de
+from itertools import chain
+
+from hypothesis import given, settings, strategies as st
+
+from slt_toolkit.itn import (
+    _INNER_HEADS,
+    _START_HEADS,
+    contract_numbers_de,
+    restore_display,
+)
+from slt_toolkit.numbers_de import (
+    MAX_NUMBER,
+    _TABLE_EIN,
+    _TABLE_EINE,
+    _TABLE_EINS,
+    parse_number_de,
+    spell_number_de,
+)
 
 
 def test_contract_simple():
@@ -71,3 +87,132 @@ def test_restore_display_idempotent_after_numbers():
     for text in texts:
         once = restore_display(text)
         assert restore_display(once) == once
+
+
+def test_restore_display_capitalizes_every_sentence():
+    assert restore_display("ja. nein! 42 straßen? ß") == \
+        "Ja. Nein! 42 Straßen? SS."
+
+
+# Reference versions: every run of up to four adjacent tokens is parsed,
+# and sentence starts are found one character at a time.
+def _contract_reference(text):
+    tokens = text.split()
+    out = []
+    i = 0
+    while i < len(tokens):
+        best_len = 0
+        best_value = None
+        for j in range(i, min(i + 4, len(tokens))):
+            value = parse_number_de("".join(tokens[i:j + 1]))
+            if value is not None:
+                best_len = j - i + 1
+                best_value = value
+        if best_value is not None and not (
+                best_len == 1 and tokens[i] in {"ein", "eine"}):
+            out.append(str(best_value))
+            i += best_len
+        else:
+            out.append(tokens[i])
+            i += 1
+    return " ".join(out)
+
+
+def _restore_reference(text):
+    if not text.strip():
+        return text
+    chars = list(_contract_reference(text))
+    capitalize_next = True
+    for k, ch in enumerate(chars):
+        if capitalize_next and ch.isalpha():
+            chars[k] = ch.upper()
+            capitalize_next = False
+        elif ch in ".!?":
+            capitalize_next = True
+    result = "".join(chars)
+    if not result.rstrip().endswith((".", "!", "?")):
+        result = result.rstrip() + "."
+    return result
+
+
+_NUMBER_WORD = st.one_of(st.integers(0, 99), st.integers(0, 99_999),
+                         st.integers(0, MAX_NUMBER)).map(spell_number_de)
+_STANDALONE = st.sampled_from(["ein", "eine", "und", "null", "hundert",
+                               "tausend", "million", "millionen",
+                               "milliarde", "milliarden"])
+_PLAIN = st.one_of(
+    st.sampled_from(["menschen", "uhr", "franken", "zwischen", "einer",
+                     "straße", "ß", "z", "wa", "nzig", "eins.", "Zwei"]),
+    st.text(st.sampled_from("adeinrsuzäßéİ.!?"), min_size=1, max_size=6))
+
+
+@st.composite
+def _tokens(draw):
+    """A number word cut at random positions, a fragment of one, a
+    standalone piece or a plain word."""
+    word = draw(_NUMBER_WORD)
+    kind = draw(st.sampled_from(["cut", "cut", "fragment", "piece", "plain"]))
+    if kind == "cut":
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(word) - 1)),
+                                   min_size=1, max_size=3)))
+        bounds = [0, *cuts, len(word)]
+        tokens = [word[a:b] for a, b in zip(bounds, bounds[1:])]
+    elif kind == "fragment":
+        start = draw(st.integers(0, len(word) - 1))
+        tokens = [word[start:draw(st.integers(start + 1, len(word)))]]
+    elif kind == "piece":
+        tokens = [draw(_STANDALONE)]
+    else:
+        tokens = [draw(_PLAIN)]
+    marked = []
+    for token in tokens:
+        if draw(st.integers(0, 5)) == 0:
+            k = draw(st.integers(0, len(token)))
+            token = token[:k] + draw(st.sampled_from(".!?")) + token[k:]
+        marked.append(token)
+    return marked
+
+
+@st.composite
+def _itn_texts(draw):
+    tokens = list(chain.from_iterable(draw(st.lists(_tokens(), max_size=6))))
+    gaps = st.sampled_from([" ", "  ", "\t", " \t"])
+    ends = st.sampled_from(["", " ", "\t"])
+    text = draw(ends)
+    for k, token in enumerate(tokens):
+        text += (draw(gaps) if k else "") + token
+    return text + draw(ends)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_itn_texts())
+def test_gated_itn_equals_reference(text):
+    assert contract_numbers_de(text) == _contract_reference(text)
+    assert restore_display(text) == _restore_reference(text)
+
+
+def test_gated_itn_equals_reference_on_every_single_cut():
+    for n in range(1000):
+        word = spell_number_de(n)
+        for k in range(1, len(word)):
+            text = f"{word[:k]} {word[k:]} menschen"
+            assert contract_numbers_de(text) == _contract_reference(text)
+
+
+def _assert_admitted(word):
+    """The gates let through every token a run over ``word`` can hold."""
+    assert word[:2] in _START_HEADS and word[:1] in _START_HEADS, word
+    for k in range(len(word)):
+        assert word[k] in _INNER_HEADS, word
+        assert word[k:k + 2] in _INNER_HEADS, word
+
+
+def test_gates_admit_every_table_key():
+    for key in chain(_TABLE_EINS, _TABLE_EIN, _TABLE_EINE):
+        _assert_admitted(key)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.integers(0, 10 ** 6), st.integers(0, MAX_NUMBER)))
+def test_gates_admit_every_number_word(n):
+    _assert_admitted(spell_number_de(n))
