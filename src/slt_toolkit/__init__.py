@@ -3,10 +3,10 @@ translation pipelines: subtitle cleaning, German text normalization,
 BLEU / reduced BLEU scoring, vocabulary statistics, inverse text
 normalization and feature-window planning."""
 
-from .corpus import Corpus, SegmentFile, Source, Utterance, load_corpus, \
-    load_segments, write_corpus, write_segments
-from .cleaning import CleanConfig, CleanOutcome, CleanRule, LanguageProfile, \
-    Verdict, clean_corpus, detect_language, match_status_message
+from .corpus import Corpus, Source, Utterance, load_corpus, load_segments, \
+    write_corpus, write_segments
+from .cleaning import CleanConfig, CleanOutcome, LanguageProfile, Verdict, \
+    clean_corpus, detect_language, match_status_message
 from .normalize import AbbrevTable, NormConfig, find_numeric_spans, \
     normalize_text
 from .numbers_de import parse_number_de, spell_date_de, spell_number_de

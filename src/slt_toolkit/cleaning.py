@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
+from functools import cache
 from itertools import filterfalse
 from pathlib import Path
+from typing import Sequence
 
-from .corpus import Corpus, Utterance
+from .corpus import Corpus, Utterance, bundled_lines, read_text
 
 
 class RuleName(Enum):
@@ -28,28 +29,6 @@ class RuleName(Enum):
     HASHTAG_START = "HASHTAG_START"
     STATUS_MESSAGE = "STATUS_MESSAGE"
     ASTERISK_SOUND = "ASTERISK_SOUND"
-
-
-class RuleAction(Enum):
-    DROP_UTTERANCE = "DROP_UTTERANCE"
-    STRIP_SPAN = "STRIP_SPAN"
-
-
-_RULE_ACTIONS = {
-    RuleName.FOREIGN_SENTENCE: RuleAction.DROP_UTTERANCE,
-    RuleName.HASHTAG_START: RuleAction.DROP_UTTERANCE,
-    RuleName.STATUS_MESSAGE: RuleAction.DROP_UTTERANCE,
-    RuleName.ASTERISK_SOUND: RuleAction.STRIP_SPAN,
-}
-
-
-@dataclass(frozen=True)
-class CleanRule:
-    name: RuleName
-
-    @property
-    def action(self) -> RuleAction:
-        return _RULE_ACTIONS[self.name]
 
 
 class Verdict(Enum):
@@ -88,17 +67,19 @@ class LanguageProfile:
 
 
 def _load_wordlist(name: str) -> frozenset[str]:
-    path = resources.files("slt_toolkit.data") / name
-    words = (w.strip().lower() for w in path.read_text(encoding="utf-8").splitlines())
+    words = (w.strip().lower() for w in bundled_lines(name))
     return frozenset(w for w in words if w)
 
 
-def default_profiles() -> list[LanguageProfile]:
-    return [
+@cache
+def default_profiles() -> tuple[LanguageProfile, ...]:
+    """The bundled profiles, built once per process and shared by all
+    callers."""
+    return (
         LanguageProfile(Language.DE, _load_wordlist("stopwords_de.txt")),
         LanguageProfile(Language.FR, _load_wordlist("function_words_fr.txt")),
         LanguageProfile(Language.EN, _load_wordlist("function_words_en.txt")),
-    ]
+    )
 
 
 # The three agency boilerplate literals known to occur in the data.
@@ -119,7 +100,7 @@ _TOKEN_EDGE_RE = re.compile(r"^\W+|\W+$")
 
 
 def detect_language(text: str,
-                    profiles: list[LanguageProfile]) -> tuple[Language, dict[Language, float]]:
+                    profiles: Sequence[LanguageProfile]) -> tuple[Language, dict[Language, float]]:
     """Score = fraction of whitespace tokens found in each profile's word set.
 
     A token is found if it is in the set as written or with its leading and
@@ -185,30 +166,31 @@ class CleanConfig:
 
     @staticmethod
     def from_json(path: str | Path) -> "CleanConfig":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return CleanConfig(
-            status_patterns=tuple(obj.get("status_patterns",
-                                          DEFAULT_STATUS_PATTERNS)),
-            foreign_threshold=float(obj.get("foreign_threshold",
-                                            DEFAULT_FOREIGN_THRESHOLD)),
-            enabled=frozenset(RuleName(r) for r in obj.get(
-                "enabled_rules", [r.value for r in RuleName])),
-        )
+        """Errors in the file's content name the file."""
+        text = read_text(path)
+        try:
+            obj = json.loads(text)
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
+            return CleanConfig(
+                status_patterns=tuple(obj.get("status_patterns",
+                                              DEFAULT_STATUS_PATTERNS)),
+                foreign_threshold=float(obj.get("foreign_threshold",
+                                                DEFAULT_FOREIGN_THRESHOLD)),
+                enabled=frozenset(RuleName(r) for r in obj.get(
+                    "enabled_rules", [r.value for r in RuleName])),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
-DEFAULT_RULES = tuple(CleanRule(name) for name in (
-    RuleName.ASTERISK_SOUND, RuleName.HASHTAG_START,
-    RuleName.STATUS_MESSAGE, RuleName.FOREIGN_SENTENCE))
-
-
-def _clean_one(utt: Utterance, rule_names: list[RuleName],
-               profiles: list[LanguageProfile],
+def _clean_one(utt: Utterance, profiles: Sequence[LanguageProfile],
                cfg: CleanConfig) -> CleanOutcome:
     text = utt.text
     hits: list[tuple[RuleName, str]] = []
     edited = False
 
-    if RuleName.ASTERISK_SOUND in rule_names:
+    if RuleName.ASTERISK_SOUND in cfg.enabled:
         text, spans = strip_asterisk_spans(text)
         if spans:
             edited = True
@@ -217,16 +199,16 @@ def _clean_one(utt: Utterance, rule_names: list[RuleName],
                 # Sound cue was the whole line; nothing left to keep.
                 return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    if RuleName.HASHTAG_START in rule_names and text.lstrip().startswith("#"):
+    if RuleName.HASHTAG_START in cfg.enabled and text.lstrip().startswith("#"):
         hits.append((RuleName.HASHTAG_START, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    if RuleName.STATUS_MESSAGE in rule_names and match_status_message(
+    if RuleName.STATUS_MESSAGE in cfg.enabled and match_status_message(
             text, cfg.status_patterns):
         hits.append((RuleName.STATUS_MESSAGE, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    if RuleName.FOREIGN_SENTENCE in rule_names:
+    if RuleName.FOREIGN_SENTENCE in cfg.enabled:
         lang, scores = detect_language(text, profiles)
         if lang is not Language.DE and scores[lang] >= cfg.foreign_threshold:
             hits.append((RuleName.FOREIGN_SENTENCE, text.strip()))
@@ -237,16 +219,13 @@ def _clean_one(utt: Utterance, rule_names: list[RuleName],
 
 
 def clean_corpus(corpus: Corpus,
-                 rules: tuple[CleanRule, ...] = DEFAULT_RULES,
-                 profiles: list[LanguageProfile] | None = None,
+                 profiles: Sequence[LanguageProfile] | None = None,
                  cfg: CleanConfig = CleanConfig()) -> tuple[Corpus, list[CleanOutcome]]:
-    """Apply cleaning rules per utterance; survivors keep their input order."""
-    if not rules:
-        raise ValueError("rules must be nonempty")
+    """Apply the rules of ``cfg.enabled`` per utterance; survivors keep
+    their input order."""
     if profiles is None:
         profiles = default_profiles()
-    rule_names = [r.name for r in rules if r.name in cfg.enabled]
-    outcomes = [_clean_one(u, rule_names, profiles, cfg) for u in corpus]
+    outcomes = [_clean_one(u, profiles, cfg) for u in corpus]
     survivors = tuple(
         u if o.verdict is Verdict.KEPT
         else Utterance(u.id, o.text, u.source, u.duration_s)

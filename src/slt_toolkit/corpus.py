@@ -8,8 +8,10 @@ are UTF-8, accept LF or CRLF on read and emit LF on write.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional
 
@@ -23,6 +25,16 @@ class Source(Enum):
 
 class CorpusError(ValueError):
     """Raised on malformed corpus or segment files."""
+
+
+class DuplicateIdError(CorpusError):
+    """Two utterances of one corpus share an id; ``first`` and ``second``
+    are their 0-based positions."""
+
+    def __init__(self, id: str, first: int, second: int) -> None:
+        super().__init__(
+            f"duplicate id '{id}' (entries {first + 1} and {second + 1})")
+        self.id, self.first, self.second = id, first, second
 
 
 @dataclass(frozen=True)
@@ -47,9 +59,7 @@ class Corpus:
         seen: dict[str, int] = {}
         for i, utt in enumerate(self.utterances):
             if utt.id in seen:
-                raise CorpusError(
-                    f"duplicate id '{utt.id}' (entries {seen[utt.id] + 1} and {i + 1})"
-                )
+                raise DuplicateIdError(utt.id, seen[utt.id], i)
             seen[utt.id] = i
 
     def __len__(self) -> int:
@@ -59,30 +69,41 @@ class Corpus:
         return iter(self.utterances)
 
 
-@dataclass(frozen=True)
-class SegmentFile:
-    lines: tuple[str, ...] = ()
+def read_text(path: str | Path) -> str:
+    """The contents of a UTF-8 text file; a decode error names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
 
-    def __len__(self) -> int:
-        return len(self.lines)
 
-    def __iter__(self):
-        return iter(self.lines)
+def _split_lines(raw: str) -> tuple[str, ...]:
+    """Lines split on "\n" only, each without a trailing "\r"; a final
+    "\n" ends the last line and opens no empty one, while empty lines
+    inside survive as "". Text keeps U+2028, U+2029, U+0085, "\v" and
+    "\f", where splitlines() would break lines."""
+    lines = raw.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return tuple(line.rstrip("\r") for line in lines)
+
+
+@cache
+def bundled_lines(name: str) -> tuple[str, ...]:
+    """Lines of a data file shipped in ``slt_toolkit/data``, read once per
+    process."""
+    path = resources.files("slt_toolkit.data") / name
+    return _split_lines(path.read_text(encoding="utf-8"))
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each nonblank line of a JSONL file.
 
-    Lines are split on "\n" only: write_corpus keeps U+2028, U+2029 and
-    U+0085 raw inside JSON strings, where splitlines() would break them.
-    Errors name the file and the line.
+    write_corpus keeps U+2028, U+2029 and U+0085 raw inside JSON strings,
+    so lines are split as in segment files. Errors name the file and the
+    line.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
-    for lineno, line in enumerate(raw.split("\n"), start=1):
+    for lineno, line in enumerate(_split_lines(read_text(path)), start=1):
         if not line.strip():
             continue
         try:
@@ -125,17 +146,17 @@ def _utterance_from_obj(obj: dict, path: str | Path, lineno: int) -> Utterance:
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus; one object per line with at least id and text."""
     utterances: List[Utterance] = []
-    seen: dict[str, int] = {}
+    linenos: List[int] = []
     for lineno, obj in read_jsonl(path):
-        utt = _utterance_from_obj(obj, path, lineno)
-        if utt.id in seen:
-            raise CorpusError(
-                f"{path}: duplicate id '{utt.id}' "
-                f"(lines {seen[utt.id]} and {lineno})"
-            )
-        seen[utt.id] = lineno
-        utterances.append(utt)
-    return Corpus(tuple(utterances))
+        utterances.append(_utterance_from_obj(obj, path, lineno))
+        linenos.append(lineno)
+    try:
+        return Corpus(tuple(utterances))
+    except DuplicateIdError as exc:
+        raise CorpusError(
+            f"{path}: duplicate id '{exc.id}' "
+            f"(lines {linenos[exc.first]} and {linenos[exc.second]})"
+        ) from None
 
 
 _CORPUS_JSON = json.JSONEncoder(ensure_ascii=False)
@@ -151,22 +172,11 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def load_segments(path: str | Path) -> SegmentFile:
+def load_segments(path: str | Path) -> tuple[str, ...]:
     """Read a plain-text segment file; lines are preserved verbatim."""
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
-    if raw == "":
-        return SegmentFile(())
-    # splitlines() on "x\n" yields ["x"]; empty lines survive as "" entries
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return SegmentFile(tuple(line.rstrip("\r") for line in lines))
+    return _split_lines(read_text(path))
 
 
-def write_segments(segments: Iterable[str] | SegmentFile, path: str | Path) -> None:
+def write_segments(segments: Iterable[str], path: str | Path) -> None:
     lines = list(segments)
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")

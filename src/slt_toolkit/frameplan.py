@@ -9,7 +9,7 @@ are emitted as data for downstream extractors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _round_half_away(x: float) -> int:
@@ -24,7 +24,6 @@ class PadSpec:
     bottom_frac: float = 0.075
     target_w: int = 224
     target_h: int = 224
-    fill: str = "GRAY"
 
     def __post_init__(self) -> None:
         for frac in (self.left_frac, self.right_frac, self.top_frac,

@@ -15,17 +15,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from importlib import resources
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .corpus import SegmentFile
+from .corpus import bundled_lines, load_segments
 
 NGRAM_ORDER = 4
 
 Smoothing = Literal["none", "exp"]
-Segments = SegmentFile | Sequence[str]
+Segments = Sequence[str]
 
 
 class ScoringError(ValueError):
@@ -157,13 +157,13 @@ class StopList:
 
     @staticmethod
     def from_file(path: str | Path) -> "StopList":
-        return StopList.from_lines(
-            Path(path).read_text(encoding="utf-8").splitlines())
+        return StopList.from_lines(load_segments(path))
 
 
+@cache
 def default_stoplist() -> StopList:
-    path = resources.files("slt_toolkit.data") / "stopwords_de.txt"
-    return StopList.from_lines(path.read_text(encoding="utf-8").splitlines())
+    """The bundled list, built once per process and shared by all callers."""
+    return StopList.from_lines(bundled_lines("stopwords_de.txt"))
 
 
 def remove_stopwords(segment: str, stops: StopList) -> str:

@@ -14,11 +14,11 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
+from .corpus import bundled_lines, load_segments
 from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 
 
@@ -28,12 +28,12 @@ class SpanKind(Enum):
     DATE = "DATE"
 
 
-# Priority: DATE, then DECIMAL (comma fraction), then INTEGER with optional
-# thousands separators (dot or thin/narrow space).
+# Priority: DATE, then a number: digits with optional thousands separators
+# (dot or thin/narrow space), an INTEGER unless a comma fraction follows and
+# makes it a DECIMAL. m.lastgroup names the kind, m.group() is the span.
 _NUMERIC_RE = re.compile(
     r"(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)"
-    r"|(?P<DECIMAL>\d+,\d+)"
-    r"|(?P<INTEGER>\d{1,3}(?:[.  ]\d{3})+|\d+)"
+    r"|(?P<INTEGER>\d{1,3}(?:[.  ]\d{3})+|\d+)(?P<DECIMAL>,\d+)?"
 )
 
 _SEPARATORS_RE = re.compile(r"[.  ]")
@@ -75,23 +75,26 @@ class AbbrevTable:
 
     @staticmethod
     def from_tsv(path: str | Path) -> "AbbrevTable":
-        entries: dict[str, str] = {}
-        for lineno, line in enumerate(
-                Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path} line {lineno}: expected two columns")
-            entries[parts[0]] = parts[1]
-        return AbbrevTable(entries)
+        return _table_from_lines(load_segments(path), path)
+
+
+def _table_from_lines(lines: Iterable[str], path: str | Path) -> AbbrevTable:
+    entries: dict[str, str] = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path} line {lineno}: expected two columns")
+        entries[parts[0]] = parts[1]
+    return AbbrevTable(entries)
 
 
 @cache
 def default_abbrev_table() -> AbbrevTable:
     """The bundled table, read once per process and shared by all callers."""
-    path = resources.files("slt_toolkit.data") / "abbreviations_de.tsv"
-    return AbbrevTable.from_tsv(str(path))
+    name = "abbreviations_de.tsv"
+    return _table_from_lines(bundled_lines(name), name)
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ def _expand_date(span: str) -> str:
 def _expand_decimal(span: str) -> str:
     whole, frac = span.split(",")
     frac_words = " ".join(spell_number_de(int(d)) for d in frac)
-    return f"{_spell_integer(whole)} komma {frac_words}"
+    return f"{_spell_integer(_SEPARATORS_RE.sub('', whole))} komma {frac_words}"
 
 
 class _CodePointMap(dict):

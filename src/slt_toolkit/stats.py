@@ -102,12 +102,9 @@ def format_stats_table(stats: CorpusStats) -> str:
 def format_comparison_table(deltas: list[FieldDelta]) -> str:
     lines = [f"{'':<12}{'raw':>10}{'clean':>10}{'delta':>10}{'pct':>9}"]
     for d in deltas:
-        value = f"{d.delta:+.1f}" if isinstance(d.raw, float) and d.field == "hours" \
-            else f"{d.delta:+.0f}"
+        places = 1 if d.field == "hours" else 0
         flag = "  (increase)" if d.increased else ""
-        raw_s = f"{d.raw:.1f}" if d.field == "hours" else f"{d.raw:.0f}"
-        clean_s = f"{d.clean:.1f}" if d.field == "hours" else f"{d.clean:.0f}"
         lines.append(
-            f"{d.field:<12}{raw_s:>10}{clean_s:>10}{value:>10}"
-            f"{d.pct:>+8.1f}%{flag}")
+            f"{d.field:<12}{d.raw:>10.{places}f}{d.clean:>10.{places}f}"
+            f"{d.delta:>+10.{places}f}{d.pct:>+8.1f}%{flag}")
     return "\n".join(lines)

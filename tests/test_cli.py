@@ -151,6 +151,55 @@ def test_stats_json(tmp_path, capsys):
     assert payload["SRF"]["hours"] == pytest.approx(1.0)
 
 
+def test_stats_compare_text(tmp_path, capsys):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(
+        '{"id":"a","text":"x y x","source":"SRF","duration_s":5400}\n'
+        '{"id":"b","text":"z w","source":"FN","duration_s":1800}\n'
+        '{"id":"c","text":"q","source":"LEX"}\n', encoding="utf-8")
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text(
+        '{"id":"a","text":"x y x v","source":"SRF","duration_s":5400}\n',
+        encoding="utf-8")
+    assert main(["stats", "--in", str(raw), "--compare", str(clean)]) == 0
+    assert capsys.readouterr().out == (
+        "                   raw     clean     delta      pct\n"
+        "video_count          3         1        -2   -66.7%\n"
+        "hours              2.0       1.5      -0.5   -25.0%\n"
+        "vocabulary           5         3        -2   -40.0%\n"
+        "singletons           4         2        -2   -50.0%\n")
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"[1, 2]",
+                                     b'{"enabled_rules": ["NO_SUCH_RULE"]}'])
+def test_clean_config_error_names_file(tmp_path, capsys, content):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"id":"a","text":"hallo"}\n', encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_bytes(content)
+    assert main(["clean", "--in", str(corpus), "--out",
+                 str(tmp_path / "out.jsonl"), "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: ")
+
+
+@pytest.mark.parametrize("command", ["stoplist", "env", "abbrev"])
+def test_non_utf8_list_file_named(tmp_path, seg, capsys, monkeypatch,
+                                  command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"der\n\xff\n")
+    hyp, ref = seg("h.txt", ["der hund"]), seg("r.txt", ["der hund"])
+    argv = {"stoplist": ["reduced-bleu", "--hyp", hyp, "--ref", ref,
+                         "--stoplist", str(bad)],
+            "env": ["reduced-bleu", "--hyp", hyp, "--ref", ref],
+            "abbrev": ["normalize", "--in", hyp, "--out",
+                       str(tmp_path / "out.txt"), "--abbrev", str(bad)]}
+    if command == "env":
+        monkeypatch.setenv("SLT_STOPLIST", str(bad))
+    assert main(argv[command]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: not valid UTF-8")
+
+
 def test_plan_single_frames(capsys):
     assert main(["plan", "--frames", "80"]) == 0
     payload = json.loads(capsys.readouterr().out)

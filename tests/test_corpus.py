@@ -43,6 +43,21 @@ def test_load_corpus_duplicate_id(tmp_path):
         load_corpus(path)
 
 
+def test_load_corpus_duplicate_id_counts_blank_lines(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id":"a","text":"x"}\n\n{"id":"a","text":"y"}\n',
+                    encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(
+            f"{path}: duplicate id 'a' (lines 1 and 3)")):
+        load_corpus(path)
+
+
+def test_corpus_rejects_duplicate_id():
+    with pytest.raises(CorpusError, match=re.escape(
+            "duplicate id 'a' (entries 1 and 3)")):
+        Corpus((Utterance("a", "x"), Utterance("b", "y"), Utterance("a", "z")))
+
+
 def test_load_corpus_malformed_line_names_lineno(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id":"a","text":"x"}\n{oops\n', encoding="utf-8")

@@ -173,6 +173,23 @@ def test_normalize_decimal():
     assert normalize_text("3,5 Prozent") == "drei komma fünf prozent"
 
 
+@pytest.mark.parametrize("text, kind, expected", [
+    ("1.000,5", SpanKind.DECIMAL, "eintausend komma fünf"),
+    ("1.299,50 Franken", SpanKind.DECIMAL,
+     "eintausendzweihundertneunundneunzig komma fünf null franken"),
+    ("1\u202f000,25", SpanKind.DECIMAL, "eintausend komma zwei fünf"),
+    ("12.345.678,9", SpanKind.DECIMAL,
+     "zwölfmillionendreihundertfünfundvierzigtausendsechshundert"
+     "achtundsiebzig komma neun"),
+    # A date still wins over a decimal that would start inside it.
+    ("3.10.2022,5", SpanKind.DATE,
+     "dritter oktober zweitausendzweiundzwanzig fünf"),
+])
+def test_normalize_decimal_with_thousands_separator(text, kind, expected):
+    assert find_numeric_spans(text)[0][1] is kind
+    assert normalize_text(text) == expected
+
+
 def test_normalize_oversized_decimal():
     out = normalize_text("1234567890123,5")
     assert not any(ch.isdigit() for ch in out)
@@ -271,6 +288,22 @@ def test_fast_steps_equal_reference_versions(data):
     assert _expand_abbreviations(text, table) == \
         _expand_abbreviations_oracle(text, table)
     assert _strip_punctuation(text) == _strip_punctuation_oracle(text)
+
+
+# Reference tokenizer: one alternative per kind, DECIMAL tried before
+# INTEGER, each with its own grouped whole part.
+_WHOLE = r"\d{1,3}(?:[.\u2009\u202f]\d{3})+|\d+"
+_NUMERIC_ORACLE = re.compile(
+    r"(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)"
+    rf"|(?P<DECIMAL>(?:{_WHOLE}),\d+)|(?P<INTEGER>{_WHOLE})")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from("0123456789.,\u2009\u202f a"), max_size=16))
+def test_numeric_spans_equal_reference(text):
+    assert find_numeric_spans(text) == [
+        (m.group(), SpanKind[m.lastgroup])
+        for m in _NUMERIC_ORACLE.finditer(text)]
 
 
 @settings(max_examples=300, deadline=None)

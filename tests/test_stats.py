@@ -115,3 +115,33 @@ def test_tables_render():
     assert "SRF" in table and "Total" in table and "1.0" in table
     comparison = format_comparison_table(compare_stats(stats, stats))
     assert "vocabulary" in comparison
+
+
+_HEADER = "                   raw     clean     delta      pct\n"
+
+
+@pytest.mark.parametrize("raw, clean, expected", [
+    ([("a b a", Source.SRF, 3600.0), ("c", Source.FN, 1800.0)],
+     [("a b a d e", Source.SRF, 900.0)],
+     _HEADER
+     + "video_count          2         1        -1   -50.0%\n"
+       "hours              1.5       0.2      -1.2   -83.3%\n"
+       "vocabulary           3         4        +1   +33.3%  (increase)\n"
+       "singletons           2         3        +1   +50.0%  (increase)"),
+    ([], [("a b a", Source.SRF, 3600.0), ("c", Source.FN, 1800.0)],
+     _HEADER
+     + "video_count          0         2        +2    +0.0%  (increase)\n"
+       "hours              0.0       1.5      +1.5    +0.0%  (increase)\n"
+       "vocabulary           0         3        +3    +0.0%  (increase)\n"
+       "singletons           0         2        +2    +0.0%  (increase)"),
+    ([("a b a", Source.SRF, 3600.0)], [("a b a", Source.SRF, 3600.0)],
+     _HEADER
+     + "video_count          1         1        +0    +0.0%\n"
+       "hours              1.0       1.0      +0.0    +0.0%\n"
+       "vocabulary           2         2        +0    +0.0%\n"
+       "singletons           1         1        +0    +0.0%"),
+])
+def test_comparison_table_text(raw, clean, expected):
+    deltas = compare_stats(vocab_stats(_corpus(raw)),
+                           vocab_stats(_corpus(clean)))
+    assert format_comparison_table(deltas) == expected
