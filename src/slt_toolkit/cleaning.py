@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import filterfalse
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .corpus import Corpus, Utterance, bundled_lines, read_text
+from .corpus import Checked, Corpus, Utterance, bundled_lines, json_field, \
+    read_text
 
 
 class RuleName(Enum):
@@ -37,8 +37,7 @@ class Verdict(Enum):
     EDITED = "EDITED"
 
 
-@dataclass(frozen=True)
-class CleanOutcome:
+class CleanOutcome(NamedTuple):
     id: str
     verdict: Verdict
     hits: tuple[tuple[RuleName, str], ...] = ()
@@ -56,14 +55,20 @@ class Language(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class _LanguageProfileFields(NamedTuple):
     language: Language
     function_words: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if not self.function_words:
-            raise ValueError(f"empty function-word set for {self.language}")
+
+class LanguageProfile(Checked, _LanguageProfileFields):
+    """A language's function words; the set is nonempty."""
+    __slots__ = ()
+
+    def __new__(cls, language: Language,
+                function_words: frozenset[str]) -> "LanguageProfile":
+        if not function_words:
+            raise ValueError(f"empty function-word set for {language}")
+        return tuple.__new__(cls, (language, function_words))
 
 
 def _load_wordlist(name: str) -> frozenset[str]:
@@ -158,8 +163,7 @@ def strip_asterisk_spans(text: str) -> tuple[str, list[str]]:
     return _CUE_RUN_RE.sub(" ", text).strip(), matches
 
 
-@dataclass(frozen=True)
-class CleanConfig:
+class CleanConfig(NamedTuple):
     status_patterns: tuple[str, ...] = DEFAULT_STATUS_PATTERNS
     foreign_threshold: float = DEFAULT_FOREIGN_THRESHOLD
     enabled: frozenset[RuleName] = frozenset(RuleName)
@@ -167,21 +171,24 @@ class CleanConfig:
     @staticmethod
     def from_json(path: str | Path) -> "CleanConfig":
         """Errors in the file's content name the file."""
-        text = read_text(path)
         try:
-            obj = json.loads(text)
-            if not isinstance(obj, dict):
-                raise ValueError("expected a JSON object")
-            return CleanConfig(
-                status_patterns=tuple(obj.get("status_patterns",
-                                              DEFAULT_STATUS_PATTERNS)),
-                foreign_threshold=float(obj.get("foreign_threshold",
-                                                DEFAULT_FOREIGN_THRESHOLD)),
-                enabled=frozenset(RuleName(r) for r in obj.get(
-                    "enabled_rules", [r.value for r in RuleName])),
-            )
-        except (TypeError, ValueError) as exc:
+            obj = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: expected a JSON object")
+        rules = json_field(obj, "enabled_rules", list, path, None)
+        try:
+            enabled = frozenset(RuleName) if rules is None \
+                else frozenset(map(RuleName, rules))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return CleanConfig(
+            json_field(obj, "status_patterns", list, path,
+                       DEFAULT_STATUS_PATTERNS),
+            json_field(obj, "foreign_threshold", float, path,
+                       DEFAULT_FOREIGN_THRESHOLD),
+            enabled)
 
 
 def _clean_one(utt: Utterance, profiles: Sequence[LanguageProfile],

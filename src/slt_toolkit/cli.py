@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import cleaning, frameplan, itn, metrics, stats
-from .corpus import CorpusError, load_corpus, load_segments, read_jsonl, \
-    write_corpus, write_segments
+from .corpus import CorpusError, json_field, load_corpus, load_segments, \
+    read_jsonl, write_corpus, write_segments
 from .normalize import AbbrevTable, NormConfig, default_abbrev_table, \
     normalize_text
 
@@ -86,7 +86,7 @@ def _cmd_stats(args) -> int:
                 "schema_version": SCHEMA_VERSION,
                 "raw": result.to_dict(),
                 "clean": other.to_dict(),
-                "deltas": [vars(d) | {} for d in deltas],
+                "deltas": [d._asdict() for d in deltas],
             }))
         else:
             print(stats.format_comparison_table(deltas))
@@ -149,14 +149,16 @@ def _cmd_plan(args) -> int:
         return 0
     lines = []
     for lineno, obj in read_jsonl(args.manifest):
+        where = f"{args.manifest}: line {lineno}"
+        frames = json_field(obj, "frame_count", int, where)
+        width = json_field(obj, "width", int, where, None)
+        height = json_field(obj, "height", int, where, None)
         try:
-            plan = frameplan.plan_windows(
-                int(obj["frame_count"]), win,
-                width=obj.get("width"), height=obj.get("height"))
+            plan = frameplan.plan_windows(frames, win, width=width,
+                                          height=height)
             lines.append(json.dumps({"id": obj["id"]} | plan.to_dict()))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(
-                f"{args.manifest}: line {lineno}: {exc}") from exc
+        except (KeyError, ValueError) as exc:
+            raise CorpusError(f"{where}: {exc}") from exc
     output = "".join(line + "\n" for line in lines)
     if args.output:
         Path(args.output).write_text(output, encoding="utf-8")

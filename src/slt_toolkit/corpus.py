@@ -8,12 +8,12 @@ are UTF-8, accept LF or CRLF on read and emit LF on write.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
 from enum import Enum
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 
 class Source(Enum):
@@ -37,30 +37,80 @@ class DuplicateIdError(CorpusError):
         self.id, self.first, self.second = id, first, second
 
 
-@dataclass(frozen=True)
-class Utterance:
+class Checked:
+    """Mixin, first base of a tuple record whose ``__new__`` validates:
+    ``_make``, and so ``_replace``, build through ``__new__`` as well."""
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _UtteranceFields(NamedTuple):
     id: str
     text: str
-    source: Source = Source.OTHER
-    duration_s: Optional[float] = None
+    source: Source
+    duration_s: Optional[float]
 
-    def __post_init__(self) -> None:
-        if not self.id:
+
+class Utterance(Checked, _UtteranceFields):
+    """One subtitle line; the id is nonempty and a duration is >= 0."""
+    __slots__ = ()
+
+    def __new__(cls, id: str, text: str, source: Source = Source.OTHER,
+                duration_s: Optional[float] = None) -> "Utterance":
+        if not id:
             raise CorpusError("utterance id must be nonempty")
-        if self.duration_s is not None and self.duration_s < 0:
-            raise CorpusError(f"duration_s must be >= 0, got {self.duration_s}")
+        if duration_s is not None and duration_s < 0:
+            raise CorpusError(f"duration_s must be >= 0, got {duration_s}")
+        return tuple.__new__(cls, (id, text, source, duration_s))
 
 
-@dataclass(frozen=True)
-class Corpus:
-    utterances: tuple[Utterance, ...] = ()
+class FrozenSlots:
+    """Base of the immutable records that are not tuples: fields are
+    ``__slots__`` set once with ``object.__setattr__``; equality, hash and
+    repr go field by field."""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle would restore slots by __setattr__.
+        return type(self), self._values()
+
+
+class Corpus(FrozenSlots):
+    """An immutable sequence of utterances with unique ids."""
+    __slots__ = ("utterances",)
+
+    def __init__(self, utterances: tuple[Utterance, ...] = ()) -> None:
         seen: dict[str, int] = {}
-        for i, utt in enumerate(self.utterances):
+        for i, utt in enumerate(utterances):
             if utt.id in seen:
                 raise DuplicateIdError(utt.id, seen[utt.id], i)
             seen[utt.id] = i
+        object.__setattr__(self, "utterances", utterances)
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -116,31 +166,50 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
+_REQUIRED = object()
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
+               list: "a list of strings"}
+
+
+def json_field(obj: dict, name: str, kind: type, where: str | Path,
+               default=_REQUIRED):
+    """Field ``name`` of a parsed JSON object, checked against ``kind``:
+    ``str``; ``int``, not a boolean; ``float``, any finite number but not a
+    boolean, returned as a float; ``list``, of strings, returned as a tuple.
+
+    An absent or null field gives ``default`` and, without one, is an
+    error. Errors are CorpusErrors that start with ``where`` (the file,
+    and for JSONL the line) and name the field.
+    """
+    value = obj.get(name)
+    if value is None and default is not _REQUIRED:
+        return default
+    if kind is float:
+        # Excludes NaN, the infinities and integers beyond the float range.
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif kind is list:
+        if type(value) is list and all(type(item) is str for item in value):
+            return tuple(value)
+    elif type(value) is kind:  # type(True) is bool, not int
+        return value
+    raise CorpusError(f"{where}: field '{name}' must be {_KIND_NAMES[kind]}")
+
+
 def _utterance_from_obj(obj: dict, path: str | Path, lineno: int) -> Utterance:
-    if "id" not in obj or "text" not in obj:
-        raise CorpusError(
-            f"{path}: line {lineno}: missing required field 'id' or 'text'")
-    source = Source.OTHER
-    if "source" in obj and obj["source"] is not None:
-        try:
-            source = Source(obj["source"])
-        except ValueError:
-            raise CorpusError(
-                f"{path}: line {lineno}: unknown source '{obj['source']}'"
-            ) from None
-    duration = obj.get("duration_s")
-    if duration is not None:
-        try:
-            duration = float(duration)
-        except (TypeError, ValueError):
-            raise CorpusError(
-                f"{path}: line {lineno}: duration_s must be a number"
-            ) from None
+    where = f"{path}: line {lineno}"
+    id = json_field(obj, "id", str, where)
+    text = json_field(obj, "text", str, where)
+    source = json_field(obj, "source", str, where, None)
+    duration = json_field(obj, "duration_s", float, where, None)
     try:
-        return Utterance(id=str(obj["id"]), text=str(obj["text"]),
-                         source=source, duration_s=duration)
+        return Utterance(id, text,
+                         Source.OTHER if source is None else Source(source),
+                         duration)
     except CorpusError as exc:
-        raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+        raise CorpusError(f"{where}: {exc}") from None
+    except ValueError:
+        raise CorpusError(f"{where}: unknown source '{source}'") from None
 
 
 def load_corpus(path: str | Path) -> Corpus:

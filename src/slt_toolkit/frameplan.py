@@ -9,48 +9,62 @@ are emitted as data for downstream extractors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .corpus import Checked
 
 
 def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-@dataclass(frozen=True)
-class PadSpec:
-    left_frac: float = 0.20
-    right_frac: float = 0.20
-    top_frac: float = 0.075
-    bottom_frac: float = 0.075
-    target_w: int = 224
-    target_h: int = 224
+class _PadSpecFields(NamedTuple):
+    left_frac: float
+    right_frac: float
+    top_frac: float
+    bottom_frac: float
+    target_w: int
+    target_h: int
 
-    def __post_init__(self) -> None:
-        for frac in (self.left_frac, self.right_frac, self.top_frac,
-                     self.bottom_frac):
+
+class PadSpec(Checked, _PadSpecFields):
+    """Gray padding as fractions of the frame, then scaling to the target
+    box; fractions are >= 0 and target dimensions positive."""
+    __slots__ = ()
+
+    def __new__(cls, left_frac: float = 0.20, right_frac: float = 0.20,
+                top_frac: float = 0.075, bottom_frac: float = 0.075,
+                target_w: int = 224, target_h: int = 224) -> "PadSpec":
+        for frac in (left_frac, right_frac, top_frac, bottom_frac):
             if frac < 0:
                 raise ValueError("padding fractions must be >= 0")
-        if self.target_w <= 0 or self.target_h <= 0:
+        if target_w <= 0 or target_h <= 0:
             raise ValueError("target dimensions must be positive")
+        return tuple.__new__(cls, (left_frac, right_frac, top_frac,
+                                   bottom_frac, target_w, target_h))
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    window: int = 64
-    stride: int = 8
+class _WindowSpecFields(NamedTuple):
+    window: int
+    stride: int
 
-    def __post_init__(self) -> None:
-        if self.window < 1:
+
+class WindowSpec(Checked, _WindowSpecFields):
+    """Window length and stride in frames, 1 <= stride <= window."""
+    __slots__ = ()
+
+    def __new__(cls, window: int = 64, stride: int = 8) -> "WindowSpec":
+        if window < 1:
             raise ValueError("window must be >= 1")
-        if not 1 <= self.stride <= self.window:
+        if not 1 <= stride <= window:
             raise ValueError("stride must be in [1, window]")
+        return tuple.__new__(cls, (window, stride))
 
 
 FULL_BODY_FEATURE_DIM = 1024  # embedding width per 64-frame window
 
 
-@dataclass(frozen=True)
-class WindowPlan:
+class WindowPlan(NamedTuple):
     padded_w: int
     padded_h: int
     scale_x: float
@@ -60,31 +74,17 @@ class WindowPlan:
     feature_dim: int = FULL_BODY_FEATURE_DIM
 
     def to_dict(self) -> dict:
-        return {
-            "padded_w": self.padded_w,
-            "padded_h": self.padded_h,
-            "scale_x": self.scale_x,
-            "scale_y": self.scale_y,
-            "window_starts": list(self.window_starts),
-            "tail_padding": self.tail_padding,
-            "feature_dim": self.feature_dim,
-        }
+        return self._asdict() | {"window_starts": list(self.window_starts)}
 
 
-@dataclass(frozen=True)
-class MouthPlan:
+class MouthPlan(NamedTuple):
     sequence_len: int
     crop_w: int = 96
     crop_h: int = 96
     feature_dim: int = 768
 
     def to_dict(self) -> dict:
-        return {
-            "sequence_len": self.sequence_len,
-            "crop_w": self.crop_w,
-            "crop_h": self.crop_h,
-            "feature_dim": self.feature_dim,
-        }
+        return self._asdict()
 
 
 def plan_padding(w: int, h: int,

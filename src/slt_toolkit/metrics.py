@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
-from .corpus import bundled_lines, load_segments
+from .corpus import FrozenSlots, bundled_lines, load_segments
 
 NGRAM_ORDER = 4
 
@@ -32,8 +31,7 @@ class ScoringError(ValueError):
     """Raised on misaligned or empty scoring inputs."""
 
 
-@dataclass(frozen=True)
-class BleuScore:
+class BleuScore(NamedTuple):
     score: float
     precisions: tuple[float, float, float, float]
     brevity_penalty: float
@@ -41,7 +39,7 @@ class BleuScore:
     ref_len: int
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"precisions": list(self.precisions)}
+        return self._asdict() | {"precisions": list(self.precisions)}
 
 
 def _ngram_counts(tokens: Sequence[str]) -> Counter:
@@ -74,7 +72,10 @@ class _BleuStats:
         hyp_len, ref_len = self.hyp_len, self.ref_len
         precisions = [0.0] * NGRAM_ORDER
         log_sum = 0.0
-        zero_orders_seen = 0
+        # As sacreBLEU: the k-th order without a match (k from 1) counts
+        # 1/(2^k * total), and no match at any order scores 0.
+        smooth = smoothing == "exp" and any(matches)
+        zero_orders = 0
         zero_score = False
         for n in range(NGRAM_ORDER):
             if totals[n] == 0:
@@ -83,9 +84,9 @@ class _BleuStats:
                 continue
             if matches[n] > 0:
                 precisions[n] = matches[n] / totals[n]
-            elif smoothing == "exp":
-                precisions[n] = 1.0 / (2 ** zero_orders_seen * totals[n])
-                zero_orders_seen += 1
+            elif smooth:
+                zero_orders += 1
+                precisions[n] = 1.0 / (2 ** zero_orders * totals[n])
             else:
                 precisions[n] = 0.0
                 zero_score = True
@@ -133,14 +134,15 @@ def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuS
                        [(frozenset(), frozenset())])[0][0].score(smoothing)
 
 
-@dataclass(frozen=True)
-class StopList:
-    words: frozenset[str]
+class StopList(FrozenSlots):
+    """Lowercase stop words without spaces."""
+    __slots__ = ("words",)
 
-    def __post_init__(self) -> None:
-        for word in self.words:
+    def __init__(self, words: frozenset[str]) -> None:
+        for word in words:
             if word != word.lower() or word != word.strip() or " " in word:
                 raise ValueError(f"invalid stop word: {word!r}")
+        object.__setattr__(self, "words", words)
 
     def __contains__(self, token: str) -> bool:
         return token in self.words
@@ -184,8 +186,7 @@ def count_stopwords(hyps: Segments, stops: StopList) -> tuple[int, float]:
     return count, (count / len(tokens) if tokens else 0.0)
 
 
-@dataclass(frozen=True)
-class CandidateScores:
+class CandidateScores(NamedTuple):
     name: str
     bleu: BleuScore
     reduced: BleuScore
@@ -193,8 +194,7 @@ class CandidateScores:
     stopword_fraction: float
 
 
-@dataclass(frozen=True)
-class SelectionReport:
+class SelectionReport(NamedTuple):
     candidates: tuple[CandidateScores, ...]
     winner: str
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .corpus import bundled_lines, load_segments
+from .corpus import Checked, bundled_lines, load_segments
 from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 
 
@@ -48,18 +47,21 @@ def find_numeric_spans(text: str) -> list[tuple[str, SpanKind]]:
     return spans
 
 
-@dataclass(frozen=True)
-class AbbrevTable:
+class _AbbrevTableFields(NamedTuple):
     entries: Mapping[str, str]
 
-    def __post_init__(self) -> None:
-        for key, value in self.entries.items():
+
+class AbbrevTable(Checked, _AbbrevTableFields):
+    """Abbreviation -> expansion; keys and values are nonempty. No
+    ``__slots__``: the instance dict holds the matcher once it is built."""
+
+    def __new__(cls, entries: Mapping[str, str]) -> "AbbrevTable":
+        for key, value in entries.items():
             if not key or not value:
                 raise ValueError("abbreviation keys and values must be nonempty")
         # A read-only copy: the matcher is compiled from the keys once, and
         # the default table is shared by every caller.
-        object.__setattr__(self, "entries",
-                           MappingProxyType(dict(self.entries)))
+        return tuple.__new__(cls, (MappingProxyType(dict(entries)),))
 
     @cached_property
     def matcher(self) -> re.Pattern | None:
@@ -97,8 +99,7 @@ def default_abbrev_table() -> AbbrevTable:
     return _table_from_lines(bundled_lines(name), name)
 
 
-@dataclass(frozen=True)
-class NormConfig:
+class NormConfig(NamedTuple):
     expand_abbrev: bool = True
     strip_punct: bool = True
     lowercase: bool = True

@@ -9,8 +9,6 @@ feminine scale words million/milliarde.
 
 from __future__ import annotations
 
-import calendar
-
 MAX_NUMBER = 999_999_999_999
 
 _UNITS = ["", "eins", "zwei", "drei", "vier", "fünf", "sechs", "sieben",
@@ -166,10 +164,20 @@ def spell_year_de(year: int) -> str:
     return spell_number_de(year)
 
 
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _days_in_month(year: int, month: int) -> int:
+    """Length of a Gregorian month; the leap-year rule is calendar.isleap's."""
+    if month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
+        return 29
+    return _MONTH_DAYS[month - 1]
+
+
 def spell_date_de(day: int, month: int, year: int) -> str:
     """Spell a calendar date, e.g. (3, 10, 2022) -> 'dritter oktober ...'."""
     if not 1 <= month <= 12:
         raise ValueError(f"invalid month: {month}")
-    if not 1 <= day <= calendar.monthrange(year, month)[1]:
+    if not 1 <= day <= _days_in_month(year, month):
         raise ValueError(f"invalid date: {day}.{month}.{year}")
     return f"{spell_ordinal_de(day)} {MONTHS[month - 1]} {spell_year_de(year)}"

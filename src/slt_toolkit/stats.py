@@ -9,29 +9,26 @@ in two sources separately is not a singleton overall.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import Corpus, Source, Utterance
 
 
-@dataclass(frozen=True)
-class SliceStats:
+class SliceStats(NamedTuple):
     video_count: int
     hours: float
     vocabulary: int
     singletons: int
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     per_source: dict[Source, SliceStats]
     total: SliceStats
 
     def to_dict(self) -> dict:
-        out = {src.value: vars(stats) | {}
+        out = {src.value: stats._asdict()
                for src, stats in self.per_source.items()}
-        out["Total"] = vars(self.total) | {}
+        out["Total"] = self.total._asdict()
         return out
 
 
@@ -59,11 +56,7 @@ def vocab_stats(corpus: Corpus) -> CorpusStats:
                        total=_slice_stats(corpus))
 
 
-_FIELDS = ("video_count", "hours", "vocabulary", "singletons")
-
-
-@dataclass(frozen=True)
-class FieldDelta:
+class FieldDelta(NamedTuple):
     field: str
     raw: float
     clean: float
@@ -75,7 +68,7 @@ class FieldDelta:
 def compare_stats(raw: CorpusStats, clean: CorpusStats) -> list[FieldDelta]:
     """Per-field absolute and percentage deltas on the total slice."""
     deltas = []
-    for field in _FIELDS:
+    for field in SliceStats._fields:
         r = getattr(raw.total, field)
         c = getattr(clean.total, field)
         delta = c - r

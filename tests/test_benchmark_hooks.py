@@ -7,11 +7,15 @@ benchmarks/worker.py builds the CLI parser and the bundled resources.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from slt_toolkit import cleaning, cli, metrics, normalize
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+SRC = TRACING.parent.parent / "src"
 
 
 def _tracing_module():
@@ -40,3 +44,37 @@ def test_setup_probe_calls():
     normalize.default_abbrev_table()
     cleaning.default_profiles()
     metrics.default_stoplist()
+
+
+# Stdlib modules that cost the set-up probe ~40 ms when the package still
+# used dataclasses and calendar. Building any argparse parser loads locale
+# (gettext looks up the message catalogs), so locale is checked before
+# build_parser.
+HEAVY = ("dataclasses", "inspect", "calendar", "datetime", "locale")
+_LOADED = "print(json.dumps([m for m in {heavy} if m in sys.modules]))"
+_PROBE = f"""\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from slt_toolkit import cleaning, cli, metrics, normalize
+{_LOADED.format(heavy=HEAVY)}
+cli.build_parser()
+normalize.default_abbrev_table()
+cleaning.default_profiles()
+metrics.default_stoplist()
+{_LOADED.format(heavy=HEAVY[:-1])}
+"""
+
+
+def _loaded(code: str) -> list[list[str]]:
+    out = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                         check=True, capture_output=True, text=True,
+                         timeout=60)
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def test_setup_probe_skips_heavy_stdlib_modules():
+    """Deterministic, no timing: a heavy import coming back fails here."""
+    [bare] = _loaded(f"import json, sys\n{_LOADED.format(heavy=HEAVY)}")
+    after_imports, after_probe = _loaded(_PROBE)
+    assert set(after_imports) <= set(bare)
+    assert set(after_probe) <= set(bare)

@@ -249,3 +249,115 @@ def test_deterministic_output(seg, capsys):
     first = capsys.readouterr().out
     main(["bleu", "--hyp", hyp, "--ref", ref, "--json"])
     assert capsys.readouterr().out == first
+
+
+# Exact output, key order and float repr included; the expected strings
+# were taken from the dataclass-based records these commands used before.
+_RAW = ('{"id":"a","text":"x y x","source":"SRF","duration_s":5400}\n'
+        '{"id":"b","text":"z w","source":"FN","duration_s":1800}\n'
+        '{"id":"c","text":"q","source":"LEX"}\n')
+_CLEAN = '{"id":"a","text":"x y x v","source":"SRF","duration_s":5400}\n'
+
+
+def test_stats_compare_json_exact(tmp_path, capsys):
+    raw, clean = tmp_path / "raw.jsonl", tmp_path / "clean.jsonl"
+    raw.write_text(_RAW, encoding="utf-8")
+    clean.write_text(_CLEAN, encoding="utf-8")
+    assert main(["stats", "--in", str(raw), "--compare", str(clean),
+                 "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"schema_version": 1, "raw": {"SRF": {"video_count": 1, "hours": '
+        '1.5, "vocabulary": 2, "singletons": 1}, "FN": {"video_count": 1, '
+        '"hours": 0.5, "vocabulary": 2, "singletons": 2}, "LEX": '
+        '{"video_count": 1, "hours": 0.0, "vocabulary": 1, "singletons": 1}, '
+        '"Total": {"video_count": 3, "hours": 2.0, "vocabulary": 5, '
+        '"singletons": 4}}, "clean": {"SRF": {"video_count": 1, "hours": 1.5, '
+        '"vocabulary": 3, "singletons": 2}, "Total": {"video_count": 1, '
+        '"hours": 1.5, "vocabulary": 3, "singletons": 2}}, "deltas": '
+        '[{"field": "video_count", "raw": 3, "clean": 1, "delta": -2, "pct": '
+        '-66.66666666666666, "increased": false}, {"field": "hours", "raw": '
+        '2.0, "clean": 1.5, "delta": -0.5, "pct": -25.0, "increased": false}, '
+        '{"field": "vocabulary", "raw": 5, "clean": 3, "delta": -2, "pct": '
+        '-40.0, "increased": false}, {"field": "singletons", "raw": 4, '
+        '"clean": 2, "delta": -2, "pct": -50.0, "increased": false}]}\n')
+
+
+_GOOD_BLEU = ('{"score": 63.289270782060825, "precisions": '
+              '[0.8333333333333334, 0.75, 0.5, 1.0], "brevity_penalty": '
+              '0.846481724890614, "hyp_len": 6, "ref_len": 7}')
+
+
+def test_select_json_exact(seg, capsys):
+    ref = seg("ref.txt", ["der hund bellt laut", "die katze schläft"])
+    good = seg("good.txt", ["der hund bellt", "katze schläft gern"])
+    bad = seg("bad.txt", ["der der bellt laut", "die die schläft"])
+    assert main(["select", "--ref", ref, "--hyp", f"good={good}",
+                 "--hyp", f"bad={bad}", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"schema_version": 1, "winner": "bad", "candidates": [{"name": '
+        '"good", "bleu": ' + _GOOD_BLEU + ', "reduced_bleu": {"score": 0.0, '
+        '"precisions": [0.8, 0.6666666666666666, 0.0, 1.0], '
+        '"brevity_penalty": 1.0, "hyp_len": 5, "ref_len": 5}, '
+        '"stopword_count": 1, "stopword_fraction": 0.16666666666666666}, '
+        '{"name": "bad", "bleu": {"score": 0.0, "precisions": '
+        '[0.7142857142857143, 0.2, 0.0, 0.0], "brevity_penalty": 1.0, '
+        '"hyp_len": 7, "ref_len": 7}, "reduced_bleu": {"score": '
+        '51.3417119032592, "precisions": [1.0, 1.0, 1.0, 1.0], '
+        '"brevity_penalty": 0.513417119032592, "hyp_len": 3, "ref_len": 5}, '
+        '"stopword_count": 4, "stopword_fraction": 0.5714285714285714}]}\n')
+
+
+def test_bleu_json_exact(seg, capsys):
+    ref = seg("ref.txt", ["der hund bellt laut", "die katze schläft"])
+    hyp = seg("good.txt", ["der hund bellt", "katze schläft gern"])
+    assert main(["bleu", "--hyp", hyp, "--ref", ref, "--json"]) == 0
+    assert capsys.readouterr().out == _GOOD_BLEU + "\n"
+
+
+def test_plan_frames_exact(capsys):
+    assert main(["plan", "--frames", "100"]) == 0
+    assert capsys.readouterr().out == (
+        '{"padded_w": 224, "padded_h": 224, "scale_x": 1.0, "scale_y": 1.0, '
+        '"window_starts": [0, 8, 16, 24, 32], "tail_padding": 0, '
+        '"feature_dim": 1024}\n')
+
+
+# Each JSON field takes one type; any other value is a data error that
+# names the file, the field and, in JSONL, the line.
+_CORPUS_OK = '{"id":"z","text":"ok"}\n'
+
+
+@pytest.mark.parametrize("kind, content, field", [
+    ("corpus", '{"id":"a","text":null}', "text"),
+    ("corpus", '{"id":"a","text":["x","y"]}', "text"),
+    ("corpus", '{"id":"a","text":"x","duration_s":"nan"}', "duration_s"),
+    ("corpus", '{"id":"a","text":"x","duration_s":true}', "duration_s"),
+    ("corpus", '{"id":"a","text":"x","duration_s":NaN}', "duration_s"),
+    ("manifest", '{"id":"a","frame_count":true}', "frame_count"),
+    ("config", '{"status_patterns":"A"}', "status_patterns"),
+    ("config", '{"enabled_rules":"STATUS_MESSAGE"}', "enabled_rules"),
+    ("config", '{"foreign_threshold":true}', "foreign_threshold"),
+])
+def test_mistyped_json_field_is_data_error(tmp_path, capsys, kind, content,
+                                           field):
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
+    bad = tmp_path / "bad.json"
+    if kind == "config":
+        corpus.write_text(_CORPUS_OK + '{"id":"y","text":"A."}\n',
+                          encoding="utf-8")
+        bad.write_text(content, encoding="utf-8")
+        argv = ["clean", "--in", str(corpus), "--out", str(out),
+                "--config", str(bad)]
+        where = f"{bad}: "
+    else:
+        first = '{"id":"z","frame_count":40}\n' if kind == "manifest" \
+            else _CORPUS_OK
+        bad.write_text(first + content + "\n", encoding="utf-8")
+        argv = ["plan", "--manifest", str(bad)] if kind == "manifest" else \
+            ["clean", "--in", str(bad), "--out", str(out)]
+        where = f"{bad}: line 2: "
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}field '{field}' must be ")
+    assert captured.out == ""
+    assert not out.exists()

@@ -23,8 +23,10 @@ from slt_toolkit.metrics import (
 )
 
 
-def oracle_bleu(hyps, refs):
-    """Brute-force corpus BLEU-4, no smoothing."""
+def oracle_bleu(hyps, refs, smoothing="none"):
+    """Brute-force corpus BLEU-4, unsmoothed or with sacreBLEU's "exp"
+    smoothing: the k-th order without a match counts 1/(2^k * total), and
+    no match at any order scores 0."""
     matches = {n: 0 for n in (1, 2, 3, 4)}
     totals = {n: 0 for n in (1, 2, 3, 4)}
     hyp_len = sum(len(h.split()) for h in hyps)
@@ -39,15 +41,20 @@ def oracle_bleu(hyps, refs):
             totals[n] += len(h_grams)
             for gram in set(h_grams):
                 matches[n] += min(h_grams.count(gram), r_grams.count(gram))
-    if hyp_len == 0:
+    if hyp_len == 0 or not any(matches.values()):
         return 0.0
     product = 1.0
+    zero_orders = 0
     for n in (1, 2, 3, 4):
         if totals[n] == 0:
             continue  # order vacuous for very short corpora
-        if matches[n] == 0:
+        if matches[n] > 0:
+            product *= matches[n] / totals[n]
+        elif smoothing == "exp":
+            zero_orders += 1
+            product /= 2 ** zero_orders * totals[n]
+        else:
             return 0.0
-        product *= matches[n] / totals[n]
     bp = 1.0 if hyp_len >= ref_len else math.exp(1 - ref_len / hyp_len)
     return 100.0 * bp * product ** 0.25
 
@@ -98,6 +105,30 @@ def test_bleu_exp_smoothing_nonzero():
     result = bleu(["die die die"], ["die katze"], smoothing="exp")
     assert result.score > 0.0
     assert all(p > 0 for p in result.precisions)
+
+
+def test_bleu_exp_smoothing_hand_cases():
+    # Unigrams 3/4 and bigrams 1/3 match; the 1st and 2nd orders without a
+    # match get 1/(2*2) and 1/(4*1): 100 * (3/4 * 1/3 * 1/4 * 1/4)^(1/4).
+    result = bleu(["a b c d"], ["a b x d"], smoothing="exp")
+    assert result.precisions == (0.75, 1 / 3, 0.25, 0.25)
+    assert result.score == pytest.approx(100 * 2 ** -1.5)
+    # Unigram 1/3; bigrams 0/2 -> 1/4, trigrams 0/1 -> 1/4, 4-grams vacuous.
+    result = bleu(["die die die"], ["die katze"], smoothing="exp")
+    assert result.precisions == (1 / 3, 0.25, 0.25, 1.0)
+    assert result.score == pytest.approx(100 * (1 / 48) ** 0.25)
+    # No match at any order: 0, as unsmoothed.
+    assert bleu(["x"], ["y"], smoothing="exp") == bleu(["x"], ["y"])
+    assert bleu(["x"], ["y"], smoothing="exp").score == 0.0
+
+
+def test_select_exp_no_match_scores_zero():
+    # Both reduced references are empty, so no reduced order matches and
+    # both reduced scores are 0.0; fewer stop words then picks "b".
+    report = select_checkpoint([("a", ["der hund"]), ("b", ["hund bellt"])],
+                               ["der die"], default_stoplist(), "exp")
+    assert [c.reduced.score for c in report.candidates] == [0.0, 0.0]
+    assert report.winner == "b"
 
 
 def test_bleu_permutation_invariance():
@@ -281,13 +312,13 @@ def test_select_scores_equal_standalone_and_oracle(inputs, smoothing):
         assert scores.reduced == reduced_bleu(hyps, refs, stops, smoothing)
         assert (scores.stopword_count, scores.stopword_fraction) == \
             count_stopwords(hyps, stops)
-        if smoothing == "none":
-            assert scores.bleu.score == pytest.approx(
-                oracle_bleu(hyps, refs), abs=1e-9)
-            assert scores.reduced.score == pytest.approx(
-                oracle_bleu(strip(hyps), strip(refs)), abs=1e-9)
-            assert reduced_bleu(hyps, refs, stops, side="hyp").score == \
-                pytest.approx(oracle_bleu(strip(hyps), refs), abs=1e-9)
+        assert scores.bleu.score == pytest.approx(
+            oracle_bleu(hyps, refs, smoothing), abs=1e-9)
+        assert scores.reduced.score == pytest.approx(
+            oracle_bleu(strip(hyps), strip(refs), smoothing), abs=1e-9)
+        assert reduced_bleu(hyps, refs, stops, smoothing,
+                            side="hyp").score == pytest.approx(
+            oracle_bleu(strip(hyps), refs, smoothing), abs=1e-9)
     bad = ("bad", candidates[0][1] + ["hund"])
     with pytest.raises(ScoringError, match="candidate 'bad'"):
         select_checkpoint(candidates + [bad], refs, stops, smoothing)

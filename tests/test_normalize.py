@@ -5,6 +5,7 @@ the numerals 0-100 typed from a reference grammar, plus the standard
 composition rules applied by hand for spot checks above 100.
 """
 
+import calendar
 import random
 import re
 import string
@@ -25,6 +26,7 @@ from slt_toolkit.normalize import (
     normalize_text,
 )
 from slt_toolkit.numbers_de import (
+    _days_in_month,
     spell_date_de,
     spell_number_de,
     spell_ordinal_de,
@@ -113,6 +115,16 @@ def test_spell_date_rejects_invalid():
         spell_date_de(31, 4, 2020)
     with pytest.raises(ValueError):
         spell_date_de(1, 13, 2020)
+
+
+def test_month_lengths_equal_calendar():
+    with pytest.raises(ValueError):
+        spell_date_de(29, 2, 1900)  # a century, not a leap year
+    assert spell_date_de(29, 2, 2000).startswith("neunundzwanzigster")
+    for year in range(10_000):
+        for month in range(1, 13):
+            assert _days_in_month(year, month) == \
+                calendar.monthrange(year, month)[1], (year, month)
 
 
 def test_ordinals():

@@ -1,0 +1,124 @@
+"""The library's immutable records: positional and keyword construction,
+field-wise equality, assignment errors and the validation messages."""
+
+import copy
+import pickle
+import re
+
+import pytest
+
+from slt_toolkit.cleaning import CleanConfig, CleanOutcome, Language, \
+    LanguageProfile, RuleName, Verdict
+from slt_toolkit.corpus import Corpus, CorpusError, DuplicateIdError, \
+    Source, Utterance
+from slt_toolkit.frameplan import MouthPlan, PadSpec, WindowPlan, WindowSpec
+from slt_toolkit.metrics import BleuScore, CandidateScores, \
+    SelectionReport, StopList
+from slt_toolkit.normalize import AbbrevTable, NormConfig
+from slt_toolkit.stats import CorpusStats, FieldDelta, SliceStats
+
+_BLEU = BleuScore(50.0, (0.5, 0.5, 0.5, 1.0), 1.0, 4, 4)
+_SLICE = SliceStats(1, 0.5, 2, 1)
+
+# Record type, every field as a keyword in declaration order, and one
+# field with another value.
+RECORDS = [
+    (Utterance, dict(id="a", text="x", source=Source.SRF, duration_s=1.5),
+     ("text", "y")),
+    (Corpus, dict(utterances=(Utterance("a", "x"),)), ("utterances", ())),
+    (CleanOutcome, dict(id="a", verdict=Verdict.EDITED,
+                        hits=((RuleName.ASTERISK_SOUND, "*x*"),), text="y"),
+     ("verdict", Verdict.KEPT)),
+    (LanguageProfile, dict(language=Language.DE,
+                           function_words=frozenset({"der"})),
+     ("function_words", frozenset({"die"}))),
+    (CleanConfig, dict(status_patterns=("x",), foreign_threshold=0.5,
+                       enabled=frozenset({RuleName.HASHTAG_START})),
+     ("foreign_threshold", 0.3)),
+    (AbbrevTable, dict(entries={"Mrd.": "Milliarden"}),
+     ("entries", {"Mio.": "Millionen"})),
+    (NormConfig, dict(expand_abbrev=True, strip_punct=False, lowercase=True,
+                      expand_numbers=True, expand_dates=True),
+     ("lowercase", False)),
+    (BleuScore, dict(score=50.0, precisions=(0.5, 0.5, 0.5, 1.0),
+                     brevity_penalty=1.0, hyp_len=4, ref_len=4),
+     ("hyp_len", 5)),
+    (StopList, dict(words=frozenset({"der", "die"})),
+     ("words", frozenset({"der"}))),
+    (CandidateScores, dict(name="a", bleu=_BLEU, reduced=_BLEU,
+                           stopword_count=1, stopword_fraction=0.25),
+     ("name", "b")),
+    (SelectionReport, dict(candidates=(), winner="a"), ("winner", "b")),
+    (SliceStats, dict(video_count=1, hours=0.5, vocabulary=2, singletons=1),
+     ("singletons", 2)),
+    (CorpusStats, dict(per_source={Source.SRF: _SLICE}, total=_SLICE),
+     ("per_source", {})),
+    (FieldDelta, dict(field="hours", raw=2.0, clean=1.5, delta=-0.5,
+                      pct=-25.0, increased=False), ("pct", -24.0)),
+    (PadSpec, dict(left_frac=0.1, right_frac=0.2, top_frac=0.0,
+                   bottom_frac=0.05, target_w=96, target_h=112),
+     ("target_h", 96)),
+    (WindowSpec, dict(window=16, stride=4), ("stride", 2)),
+    (WindowPlan, dict(padded_w=300, padded_h=200, scale_x=0.5, scale_y=0.25,
+                      window_starts=(0, 8), tail_padding=0, feature_dim=512),
+     ("window_starts", (0,))),
+    (MouthPlan, dict(sequence_len=10, crop_w=64, crop_h=48, feature_dim=256),
+     ("crop_h", 64)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, changed", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_equality_and_immutability(cls, fields, changed):
+    record = cls(**fields)
+    assert cls(*fields.values()) == record  # positional order unchanged
+    assert {name: getattr(record, name) for name in fields} == fields
+    name, value = changed
+    assert cls(**(fields | {name: value})) != record
+    assert repr(record).startswith(f"{cls.__name__}({next(iter(fields))}=")
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    assert cls(**fields) == record
+    assert copy.copy(record) == record
+    if cls is not AbbrevTable:  # its entries are a read-only mappingproxy
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Utterance("", "x"), CorpusError, "utterance id must be nonempty"),
+    (lambda: Utterance("a", "x", duration_s=-1.0), CorpusError,
+     "duration_s must be >= 0, got -1.0"),
+    (lambda: Corpus((Utterance("a", "x"), Utterance("a", "y"))),
+     DuplicateIdError, "duplicate id 'a' (entries 1 and 2)"),
+    (lambda: LanguageProfile(Language.FR, frozenset()), ValueError,
+     "empty function-word set for Language.FR"),
+    (lambda: AbbrevTable({"z.B.": ""}), ValueError,
+     "abbreviation keys and values must be nonempty"),
+    (lambda: StopList(frozenset({"Der"})), ValueError,
+     "invalid stop word: 'Der'"),
+    (lambda: PadSpec(bottom_frac=-0.1), ValueError,
+     "padding fractions must be >= 0"),
+    (lambda: PadSpec(target_h=0), ValueError,
+     "target dimensions must be positive"),
+    (lambda: WindowSpec(window=0), ValueError, "window must be >= 1"),
+    (lambda: WindowSpec(16, 17), ValueError, "stride must be in [1, window]"),
+    # _replace builds through the same checks.
+    (lambda: Utterance("a", "x")._replace(id=""), CorpusError,
+     "utterance id must be nonempty"),
+    (lambda: LanguageProfile(Language.FR, frozenset({"le"}))._replace(
+        function_words=frozenset()), ValueError,
+     "empty function-word set for Language.FR"),
+    (lambda: AbbrevTable({"z.B.": "zum Beispiel"})._replace(entries={"": "x"}),
+     ValueError, "abbreviation keys and values must be nonempty"),
+    (lambda: PadSpec()._replace(target_w=-1), ValueError,
+     "target dimensions must be positive"),
+    (lambda: WindowSpec()._replace(stride=0), ValueError,
+     "stride must be in [1, window]"),
+], ids=["utterance-id", "utterance-duration", "corpus-duplicate",
+        "profile-empty", "abbrev-empty", "stoplist-word", "pad-fraction",
+        "pad-target", "window", "stride", "utterance-replace",
+        "profile-replace", "abbrev-replace", "pad-replace", "window-replace"])
+def test_record_validation_errors(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
