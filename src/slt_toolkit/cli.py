@@ -150,15 +150,16 @@ def _cmd_plan(args) -> int:
     lines = []
     for lineno, obj in read_jsonl(args.manifest):
         where = f"{args.manifest}: line {lineno}"
+        id = json_field(obj, "id", str, where)
         frames = json_field(obj, "frame_count", int, where)
         width = json_field(obj, "width", int, where, None)
         height = json_field(obj, "height", int, where, None)
         try:
             plan = frameplan.plan_windows(frames, win, width=width,
                                           height=height)
-            lines.append(json.dumps({"id": obj["id"]} | plan.to_dict()))
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise CorpusError(f"{where}: {exc}") from exc
+        lines.append(json.dumps({"id": id} | plan.to_dict()))
     output = "".join(line + "\n" for line in lines)
     if args.output:
         Path(args.output).write_text(output, encoding="utf-8")

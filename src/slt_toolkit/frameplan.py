@@ -62,6 +62,9 @@ class WindowSpec(Checked, _WindowSpecFields):
 
 
 FULL_BODY_FEATURE_DIM = 1024  # embedding width per 64-frame window
+# Above this a frame count is taken as a data error: about 111 h at 25 fps,
+# and at most 1.25 M window starts at the default stride.
+MAX_FRAME_COUNT = 10_000_000
 
 
 class WindowPlan(NamedTuple):
@@ -109,6 +112,8 @@ def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
     """
     if frame_count < 0:
         raise ValueError("frame_count must be >= 0")
+    if frame_count > MAX_FRAME_COUNT:
+        raise ValueError(f"frame_count must be <= {MAX_FRAME_COUNT}")
     if width is not None and height is not None:
         padded_w, padded_h, scale_x, scale_y = plan_padding(width, height, pad)
     else:

@@ -42,11 +42,21 @@ class BleuScore(NamedTuple):
         return self._asdict() | {"precisions": list(self.precisions)}
 
 
+def _grams(tokens: Sequence[str]) -> list[Iterable]:
+    """The n-grams of orders 1..NGRAM_ORDER, one iterable per order.
+    Unigrams are the tokens themselves and higher orders tuples, so no
+    n-gram of one order equals one of another."""
+    # Written out for NGRAM_ORDER == 4: three tails, shared by the zips.
+    t1, t2, t3 = tokens[1:], tokens[2:], tokens[3:]
+    return [tokens, zip(tokens, t1), zip(tokens, t1, t2),
+            zip(tokens, t1, t2, t3)]
+
+
 def _ngram_counts(tokens: Sequence[str]) -> Counter:
-    """Counts of the n-grams of orders 1..NGRAM_ORDER (length = order)."""
-    # A list: star-unpacking a generator strands tuples on CPython free lists.
-    return Counter(chain.from_iterable(zip(*[tokens[k:] for k in range(n)])
-                                       for n in range(1, NGRAM_ORDER + 1)))
+    """Counts of the n-grams of orders 1..NGRAM_ORDER, keyed as by _grams."""
+    # _grams returns a list: star-unpacking a generator strands tuples on
+    # CPython's free lists.
+    return Counter(chain(*_grams(tokens)))
 
 
 class _BleuStats:
@@ -62,10 +72,16 @@ class _BleuStats:
         self.ref_len += ref_len
         for n in range(min(length, NGRAM_ORDER)):
             self.totals[n] += length - n
-        for gram, count in _ngram_counts(hyp_tokens).items():
-            ref = ref_counts.get(gram)
-            if ref:
-                self.matches[len(gram) - 1] += count if count < ref else ref
+        # Clip only the hypothesis n-grams the reference holds. Distinct hits
+        # each occur once against a reference count >= 1, so each clips to 1.
+        for n, grams in enumerate(_grams(hyp_tokens)):
+            hits = list(filter(ref_counts.__contains__, grams))
+            if len(set(hits)) == len(hits):
+                self.matches[n] += len(hits)
+            else:
+                for gram, count in Counter(hits).items():
+                    ref = ref_counts[gram]
+                    self.matches[n] += count if count < ref else ref
 
     def score(self, smoothing: Smoothing) -> BleuScore:
         matches, totals = self.matches, self.totals
@@ -218,6 +234,11 @@ def select_checkpoint(candidates: Sequence[tuple[str, Segments]],
     then lexicographic name."""
     if not candidates:
         raise ScoringError("need at least one candidate")
+    seen = set()
+    for name, _ in candidates:
+        if name in seen:
+            raise ScoringError(f"duplicate candidate name '{name}'")
+        seen.add(name)
     full, reduced = _accumulate(
         [(f"candidate '{name}'", hyps) for name, hyps in candidates], refs,
         [(frozenset(), frozenset()), (stops.words, stops.words)])

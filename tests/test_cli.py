@@ -7,6 +7,7 @@ import pytest
 from slt_toolkit import metrics
 from slt_toolkit.cli import main
 from slt_toolkit.corpus import load_corpus, load_segments
+from slt_toolkit.frameplan import MAX_FRAME_COUNT
 
 
 @pytest.fixture
@@ -87,6 +88,16 @@ def test_select(seg, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["winner"] == "good"
     assert payload["schema_version"] == 1
+
+
+def test_select_duplicate_name_is_data_error(seg, capsys):
+    ref = seg("r.txt", ["hund bellt"])
+    h1, h2 = seg("h1.txt", ["hund bellt"]), seg("h2.txt", ["der hund"])
+    assert main(["select", "--ref", ref, "--hyp", f"a={h1}",
+                 "--hyp", f"a={h2}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: duplicate candidate name 'a'\n"
+    assert captured.out == ""
 
 
 def test_clean_and_report(tmp_path, seg, capsys):
@@ -242,6 +253,26 @@ def test_plan_manifest_error_names_file_and_line(tmp_path, capsys):
     assert f"{manifest}: line 3: malformed JSON" in capsys.readouterr().err
 
 
+def test_plan_frames_above_bound_is_data_error(capsys):
+    assert main(["plan", "--frames", str(MAX_FRAME_COUNT + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: frame_count must be <= {MAX_FRAME_COUNT}\n"
+    assert captured.out == ""
+
+
+def test_plan_manifest_frames_above_bound_names_line(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"id":"a","frame_count":40}\n'
+                        f'{{"id":"b","frame_count":{MAX_FRAME_COUNT + 1}}}\n',
+                        encoding="utf-8")
+    assert main(["plan", "--manifest", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {manifest}: line 2: frame_count must "
+                            f"be <= {MAX_FRAME_COUNT}\n")
+    assert captured.out == ""
+
+
 def test_deterministic_output(seg, capsys):
     hyp = seg("h.txt", ["x y z"])
     ref = seg("r.txt", ["x y w"])
@@ -334,6 +365,8 @@ _CORPUS_OK = '{"id":"z","text":"ok"}\n'
     ("corpus", '{"id":"a","text":"x","duration_s":true}', "duration_s"),
     ("corpus", '{"id":"a","text":"x","duration_s":NaN}', "duration_s"),
     ("manifest", '{"id":"a","frame_count":true}', "frame_count"),
+    ("manifest", '{"frame_count":40}', "id"),
+    ("manifest", '{"id":5,"frame_count":40}', "id"),
     ("config", '{"status_patterns":"A"}', "status_patterns"),
     ("config", '{"enabled_rules":"STATUS_MESSAGE"}', "enabled_rules"),
     ("config", '{"foreign_threshold":true}', "foreign_threshold"),

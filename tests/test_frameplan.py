@@ -3,6 +3,7 @@
 import pytest
 
 from slt_toolkit.frameplan import (
+    MAX_FRAME_COUNT,
     MouthPlan,
     PadSpec,
     WindowSpec,
@@ -67,6 +68,13 @@ def test_empty_clip():
     plan = plan_windows(0)
     assert plan.window_starts == ()
     assert plan.tail_padding == 0
+
+
+def test_frame_count_bound():
+    # Checked first: the invalid geometry below is never reached.
+    with pytest.raises(ValueError, match=f"<= {MAX_FRAME_COUNT}$"):
+        plan_windows(MAX_FRAME_COUNT + 1, width=0, height=0)
+    assert MAX_FRAME_COUNT == 10_000_000
 
 
 def test_window_spec_validation():

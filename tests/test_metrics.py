@@ -7,6 +7,8 @@ with the textbook formula.
 
 import math
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from slt_toolkit.metrics import (
     ScoringError,
     StopList,
+    _BleuStats,
+    _ngram_counts,
     bleu,
     count_stopwords,
     default_stoplist,
@@ -322,3 +326,71 @@ def test_select_scores_equal_standalone_and_oracle(inputs, smoothing):
     bad = ("bad", candidates[0][1] + ["hund"])
     with pytest.raises(ScoringError, match="candidate 'bad'"):
         select_checkpoint(candidates + [bad], refs, stops, smoothing)
+
+
+def _loop_stats(pairs):
+    """Reference for _BleuStats: every distinct hypothesis n-gram, keyed as
+    a tuple, clipped against the reference count in a Python loop."""
+    def counts(tokens):
+        return Counter(chain.from_iterable(
+            zip(*[tokens[k:] for k in range(n)]) for n in range(1, 5)))
+
+    matches, totals = [0] * 4, [0] * 4
+    hyp_len = ref_len = 0
+    for hyp, ref in pairs:
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(min(len(hyp), 4)):
+            totals[n] += len(hyp) - n
+        ref_counts = counts(ref)
+        for gram, count in counts(hyp).items():
+            if ref_counts.get(gram):
+                matches[len(gram) - 1] += min(count, ref_counts[gram])
+    return matches, totals, hyp_len, ref_len
+
+
+def _summed_stats(pairs):
+    stats = _BleuStats()
+    for hyp, ref in pairs:
+        stats.add(hyp, _ngram_counts(ref), len(ref))
+    return stats.matches, stats.totals, stats.hyp_len, stats.ref_len
+
+
+def test_bleu_stats_clip_repeated_hits_by_hand():
+    # Hypothesis "a b a b a b" against "a b a b": a x3 vs 2, b x3 vs 2;
+    # "a b" x3 vs 2, "b a" x2 vs 1; "a b a" x2 vs 1, "b a b" x2 vs 1;
+    # "a b a b" x2 vs 1, "b a b a" x1 vs 0.
+    pairs = [("a b a b a b".split(), "a b a b".split())]
+    assert _summed_stats(pairs) == ([4, 3, 2, 1], [6, 5, 4, 3], 6, 4)
+    assert _loop_stats(pairs) == _summed_stats(pairs)
+
+
+_WIDE_VOCAB = [f"w{i}" for i in range(200)]
+
+
+@st.composite
+def _stats_pairs(draw):
+    """One to five (hypothesis, reference) token lists. Over the 8-word
+    vocabulary repeated hits are common; over 200 words and 8-20 tokens,
+    with the hypothesis an edited reference, hits up to 4-grams are mostly
+    distinct."""
+    wide = draw(st.booleans())
+    vocab, low, high = (_WIDE_VOCAB, 8, 20) if wide else (_VOCAB, 0, 7)
+    words = st.sampled_from(vocab)
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        ref = draw(st.lists(words, min_size=max(low, 1), max_size=high))
+        if wide:
+            hyp = list(ref)
+            for _ in range(draw(st.integers(0, 4))):
+                hyp[draw(st.integers(0, len(hyp) - 1))] = draw(words)
+        else:
+            hyp = draw(st.lists(words, min_size=low, max_size=high))
+        pairs.append((hyp, ref))
+    return pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_stats_pairs())
+def test_bleu_stats_equal_per_gram_loop(pairs):
+    assert _summed_stats(pairs) == _loop_stats(pairs)
