@@ -1,20 +1,51 @@
 """Corpus preprocessing and evaluation toolkit for sign language
 translation pipelines: subtitle cleaning, German text normalization,
 BLEU / reduced BLEU scoring, vocabulary statistics, inverse text
-normalization and feature-window planning."""
+normalization and feature-window planning.
 
-from .corpus import Corpus, Source, Utterance, load_corpus, load_segments, \
-    write_corpus, write_segments
-from .cleaning import CleanConfig, CleanOutcome, LanguageProfile, Verdict, \
-    clean_corpus, detect_language, match_status_message
-from .normalize import AbbrevTable, NormConfig, find_numeric_spans, \
-    normalize_text
-from .numbers_de import parse_number_de, spell_date_de, spell_number_de
-from .itn import contract_numbers_de, restore_display
-from .metrics import BleuScore, StopList, bleu, count_stopwords, \
-    default_stoplist, reduced_bleu, remove_stopwords, select_checkpoint
-from .stats import CorpusStats, compare_stats, vocab_stats
-from .frameplan import MouthPlan, PadSpec, WindowPlan, WindowSpec, \
-    plan_mouth, plan_padding, plan_windows
+Submodules load on first use: ``import slt_toolkit`` imports none of
+them, and ``slt_toolkit.bleu`` or ``slt_toolkit.metrics`` imports only
+``metrics``.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# Submodule -> the names it exports.
+_MODULES = {
+    "corpus": ("Corpus", "Source", "Utterance", "load_corpus",
+               "load_segments", "write_corpus", "write_segments"),
+    "cleaning": ("CleanConfig", "CleanOutcome", "LanguageProfile", "Verdict",
+                 "clean_corpus", "detect_language", "match_status_message"),
+    "normalize": ("AbbrevTable", "NormConfig", "normalize_text"),
+    "numbers_de": ("parse_number_de", "spell_date_de", "spell_number_de"),
+    "itn": ("contract_numbers_de", "restore_display"),
+    "metrics": ("BleuScore", "StopList", "bleu", "count_stopwords",
+                "default_stoplist", "reduced_bleu", "remove_stopwords",
+                "select_checkpoint"),
+    "stats": ("CorpusStats", "compare_stats", "vocab_stats"),
+    "frameplan": ("MouthPlan", "PadSpec", "WindowPlan", "WindowSpec",
+                  "plan_mouth", "plan_padding", "plan_windows"),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items()
+            for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:  # importing a submodule sets it as an attribute
+        return _import_module(f".{name}", __name__)
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -175,6 +175,8 @@ class CleanConfig(NamedTuple):
             obj = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: expected a JSON object")
         rules = json_field(obj, "enabled_rules", list, path, None)

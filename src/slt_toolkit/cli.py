@@ -2,6 +2,7 @@
 
 Every subcommand is a thin delegator around the library: it loads the
 input files, calls the corresponding function and serializes the result.
+Each subcommand imports the modules it runs, so start-up loads only those.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -13,7 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import cleaning, frameplan, itn, metrics, stats
 from .corpus import CorpusError, json_field, load_corpus, load_segments, \
     read_jsonl, write_corpus, write_segments
 from .normalize import AbbrevTable, NormConfig, default_abbrev_table, \
@@ -29,14 +29,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _stoplist(args) -> metrics.StopList:
+def _stoplist(args):
+    from . import metrics
     path = getattr(args, "stoplist", None) or os.environ.get("SLT_STOPLIST")
     if path:
         return metrics.StopList.from_file(path)
     return metrics.default_stoplist()
 
 
-def _print_bleu(result: metrics.BleuScore, as_json: bool) -> None:
+def _print_bleu(result, as_json: bool) -> None:
     if as_json:
         print(json.dumps(result.to_dict()))
     else:
@@ -47,6 +48,7 @@ def _print_bleu(result: metrics.BleuScore, as_json: bool) -> None:
 
 
 def _cmd_clean(args) -> int:
+    from . import cleaning
     corpus = load_corpus(args.input)
     cfg = cleaning.CleanConfig.from_json(args.config) if args.config \
         else cleaning.CleanConfig()
@@ -76,6 +78,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import stats
     corpus = load_corpus(args.input)
     result = stats.vocab_stats(corpus)
     if args.compare:
@@ -98,6 +101,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
+    from . import metrics
     hyps = load_segments(args.hyp)
     refs = load_segments(args.ref)
     _print_bleu(metrics.bleu(hyps, refs, args.smoothing), args.json)
@@ -105,6 +109,7 @@ def _cmd_bleu(args) -> int:
 
 
 def _cmd_reduced_bleu(args) -> int:
+    from . import metrics
     hyps = load_segments(args.hyp)
     refs = load_segments(args.ref)
     result = metrics.reduced_bleu(hyps, refs, _stoplist(args),
@@ -114,6 +119,7 @@ def _cmd_reduced_bleu(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    from . import metrics
     refs = load_segments(args.ref)
     candidates = []
     for spec in args.hyp:
@@ -135,6 +141,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_itn(args) -> int:
+    from . import itn
     segments = load_segments(args.input)
     write_segments([itn.restore_display(line) for line in segments],
                    args.output)
@@ -142,6 +149,7 @@ def _cmd_itn(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from . import frameplan
     win = frameplan.WindowSpec(window=args.window, stride=args.stride)
     if args.frames is not None:
         plan = frameplan.plan_windows(args.frames, win)
@@ -242,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("plan requires --manifest or --frames")
     try:
         return args.func(args)
-    except (CorpusError, metrics.ScoringError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CorpusError, ScoringError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

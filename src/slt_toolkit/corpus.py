@@ -161,6 +161,9 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         except json.JSONDecodeError as exc:
             raise CorpusError(
                 f"{path}: line {lineno}: malformed JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise CorpusError(
+                f"{path}: line {lineno}: JSON nested too deeply") from None
         if not isinstance(obj, dict):
             raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
         yield lineno, obj

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from enum import Enum
 from functools import cache, cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -21,30 +20,16 @@ from .corpus import Checked, bundled_lines, load_segments
 from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 
 
-class SpanKind(Enum):
-    INTEGER = "INTEGER"
-    DECIMAL = "DECIMAL"
-    DATE = "DATE"
-
-
 # Priority: DATE, then a number: digits with optional thousands separators
-# (dot or thin/narrow space), an INTEGER unless a comma fraction follows and
-# makes it a DECIMAL. m.lastgroup names the kind, m.group() is the span.
+# (dot, thin/narrow space, or the Swiss apostrophe ' or ’), an INTEGER unless
+# a comma fraction follows and makes it a DECIMAL. m.lastgroup names the
+# kind, m.group() is the span.
 _NUMERIC_RE = re.compile(
     r"(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)"
-    r"|(?P<INTEGER>\d{1,3}(?:[.  ]\d{3})+|\d+)(?P<DECIMAL>,\d+)?"
+    r"|(?P<INTEGER>\d{1,3}(?:[.  '’]\d{3})+|\d+)(?P<DECIMAL>,\d+)?"
 )
 
-_SEPARATORS_RE = re.compile(r"[.  ]")
-
-
-def find_numeric_spans(text: str) -> list[tuple[str, SpanKind]]:
-    """Non-overlapping numeric spans, left to right, dates winning ties."""
-    spans = []
-    for m in _NUMERIC_RE.finditer(text):
-        kind = SpanKind[m.lastgroup]
-        spans.append((m.group(), kind))
-    return spans
+_SEPARATORS_RE = re.compile(r"[.  '’]")
 
 
 class _AbbrevTableFields(NamedTuple):
@@ -113,10 +98,14 @@ def _expand_abbreviations(text: str, table: AbbrevTable) -> str:
     return table.matcher.sub(lambda m: table.entries[m.group()], text)
 
 
+_MAX_DIGITS = len(str(MAX_NUMBER))  # MAX_NUMBER is all nines
+
+
 def _spell_integer(digits: str) -> str:
-    n = int(digits)
-    if n <= MAX_NUMBER:
-        return spell_number_de(n)
+    # Chosen by length, so that int() never sees a run longer than
+    # Python's int/str conversion limit.
+    if len(digits.lstrip("0")) <= _MAX_DIGITS:
+        return spell_number_de(int(digits))
     # Oversized numbers: spell in 3-digit groups from the left.
     groups = []
     head = len(digits) % 3 or 3
@@ -172,14 +161,14 @@ _DIGIT_MAP = _CodePointMap(
 
 def _expand_numeric(text: str, cfg: NormConfig) -> str:
     def repl(m: re.Match) -> str:
-        kind = SpanKind[m.lastgroup]
-        if kind is SpanKind.DATE:
+        kind = m.lastgroup
+        if kind == "DATE":
             if not cfg.expand_dates:
                 return m.group()
             return _expand_date(m.group())
         if not cfg.expand_numbers:
             return m.group()
-        if kind is SpanKind.DECIMAL:
+        if kind == "DECIMAL":
             return _expand_decimal(m.group())
         return _spell_integer(_SEPARATORS_RE.sub("", m.group()))
 

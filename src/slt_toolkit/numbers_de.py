@@ -82,11 +82,21 @@ def spell_number_de(n: int) -> str:
     return word
 
 
+def _inverse_table(one: str) -> dict[str, int]:
+    """{_spell_under_1000(n, one): n for n in 1..999}, keys in that order,
+    joined from 10 hundred heads and 100 under-hundred tails; the first
+    spelling is "" for 0 and is dropped."""
+    heads = [""] + [_spell_under_1000(100 * h) for h in range(1, 10)]
+    tails = [_spell_under_100(n, one) for n in range(100)]
+    spellings = [head + tail for head in heads for tail in tails]
+    return dict(zip(spellings[1:], range(1, 1000)))
+
+
 # Inverse tables, one per final-"one" form. Spellings under 1000 are unique
 # within each form, so parsing a chunk is a dict lookup.
-_TABLE_EINS = {_spell_under_1000(i, "eins"): i for i in range(1, 1000)}
-_TABLE_EIN = {_spell_under_1000(i, "ein"): i for i in range(1, 1000)}
-_TABLE_EINE = {_spell_under_1000(i, "eine"): i for i in range(1, 1000)}
+_TABLE_EINS = _inverse_table("eins")
+_TABLE_EIN = _inverse_table("ein")
+_TABLE_EINE = _inverse_table("eine")
 
 
 def _parse_feminine_scale(rest: str, word: str, table: dict[str, int]):

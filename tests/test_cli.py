@@ -8,6 +8,7 @@ from slt_toolkit import metrics
 from slt_toolkit.cli import main
 from slt_toolkit.corpus import load_corpus, load_segments
 from slt_toolkit.frameplan import MAX_FRAME_COUNT
+from slt_toolkit.numbers_de import MAX_NUMBER, spell_number_de
 
 
 @pytest.fixture
@@ -394,3 +395,44 @@ def test_mistyped_json_field_is_data_error(tmp_path, capsys, kind, content,
     assert captured.err.startswith(f"error: {where}field '{field}' must be ")
     assert captured.out == ""
     assert not out.exists()
+
+
+# Nested deeper than the JSON decoder's recursion limit.
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["clean", "stats", "plan", "config"])
+def test_deeply_nested_json_is_data_error(tmp_path, capsys, command):
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
+    bad = tmp_path / "bad.json"
+    if command == "config":
+        corpus.write_text(_CORPUS_OK, encoding="utf-8")
+        bad.write_text(_DEEP_JSON, encoding="utf-8")
+        argv = ["clean", "--in", str(corpus), "--out", str(out),
+                "--config", str(bad)]
+        where = f"{bad}: "
+    else:
+        first = '{"id":"z","frame_count":40}\n' if command == "plan" \
+            else _CORPUS_OK
+        bad.write_text(first + _DEEP_JSON + "\n", encoding="utf-8")
+        argv = {"clean": ["clean", "--in", str(bad), "--out", str(out)],
+                "stats": ["stats", "--in", str(bad)],
+                "plan": ["plan", "--manifest", str(bad)]}[command]
+        where = f"{bad}: line 2: "
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}JSON nested too deeply")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_normalize_digit_run_over_int_str_limit(tmp_path, seg):
+    # 5 000 digits are past Python's int/str limit: only 3-digit groups may
+    # reach int(). Leading zeros do not make a number oversized.
+    inp = seg("in.txt", ["1" + "0" * 4999, "000" + "9" * 12, "1" + "0" * 12])
+    out = tmp_path / "out.txt"
+    assert main(["normalize", "--in", inp, "--out", str(out)]) == 0
+    long, max_number, oversized = load_segments(out)
+    assert long.split() == ["zehn"] + ["null"] * 1666
+    assert max_number == spell_number_de(MAX_NUMBER)
+    assert oversized == "eins null null null null"

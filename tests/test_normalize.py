@@ -18,11 +18,10 @@ from hypothesis import given, settings, strategies as st
 from slt_toolkit.normalize import (
     AbbrevTable,
     NormConfig,
-    SpanKind,
+    _NUMERIC_RE,
     _expand_abbreviations,
     _strip_punctuation,
     default_abbrev_table,
-    find_numeric_spans,
     normalize_text,
 )
 from slt_toolkit.numbers_de import (
@@ -144,22 +143,26 @@ def test_year_hundreds_convention_bounds():
     assert spell_year_de(1066) == "eintausendsechsundsechzig"
 
 
+def _numeric_spans(text):
+    """Non-overlapping numeric spans, left to right, with their kind."""
+    return [(m.group(), m.lastgroup) for m in _NUMERIC_RE.finditer(text)]
+
+
 def test_find_numeric_spans_date_and_integer():
-    spans = find_numeric_spans("am 3.10.2022 kamen 1.000 gäste")
-    assert spans == [("3.10.2022", SpanKind.DATE), ("1.000", SpanKind.INTEGER)]
+    spans = _numeric_spans("am 3.10.2022 kamen 1.000 gäste")
+    assert spans == [("3.10.2022", "DATE"), ("1.000", "INTEGER")]
 
 
 def test_find_numeric_spans_none():
-    assert find_numeric_spans("abc") == []
+    assert _numeric_spans("abc") == []
 
 
 def test_find_numeric_spans_decimal():
-    assert find_numeric_spans("3,5 prozent") == [("3,5", SpanKind.DECIMAL)]
+    assert _numeric_spans("3,5 prozent") == [("3,5", "DECIMAL")]
 
 
 def test_find_numeric_spans_thin_space_separator():
-    assert find_numeric_spans("1 000 personen") == \
-        [("1 000", SpanKind.INTEGER)]
+    assert _numeric_spans("1 000 personen") == [("1 000", "INTEGER")]
 
 
 def test_normalize_abbreviation():
@@ -186,19 +189,24 @@ def test_normalize_decimal():
 
 
 @pytest.mark.parametrize("text, kind, expected", [
-    ("1.000,5", SpanKind.DECIMAL, "eintausend komma fünf"),
-    ("1.299,50 Franken", SpanKind.DECIMAL,
+    ("1.000,5", "DECIMAL", "eintausend komma fünf"),
+    ("1.299,50 Franken", "DECIMAL",
      "eintausendzweihundertneunundneunzig komma fünf null franken"),
-    ("1\u202f000,25", SpanKind.DECIMAL, "eintausend komma zwei fünf"),
-    ("12.345.678,9", SpanKind.DECIMAL,
+    ("1\u202f000,25", "DECIMAL", "eintausend komma zwei fünf"),
+    # The Swiss apostrophe, ASCII or U+2019, groups thousands too.
+    ("12'000", "INTEGER", "zwölftausend"),
+    ("12\u2019000", "INTEGER", "zwölftausend"),
+    ("1'299,50 Franken", "DECIMAL",
+     "eintausendzweihundertneunundneunzig komma fünf null franken"),
+    ("12.345.678,9", "DECIMAL",
      "zwölfmillionendreihundertfünfundvierzigtausendsechshundert"
      "achtundsiebzig komma neun"),
     # A date still wins over a decimal that would start inside it.
-    ("3.10.2022,5", SpanKind.DATE,
+    ("3.10.2022,5", "DATE",
      "dritter oktober zweitausendzweiundzwanzig fünf"),
 ])
 def test_normalize_decimal_with_thousands_separator(text, kind, expected):
-    assert find_numeric_spans(text)[0][1] is kind
+    assert _numeric_spans(text)[0][1] == kind
     assert normalize_text(text) == expected
 
 
@@ -304,18 +312,18 @@ def test_fast_steps_equal_reference_versions(data):
 
 # Reference tokenizer: one alternative per kind, DECIMAL tried before
 # INTEGER, each with its own grouped whole part.
-_WHOLE = r"\d{1,3}(?:[.\u2009\u202f]\d{3})+|\d+"
+_WHOLE = r"\d{1,3}(?:[.\u2009\u202f'\u2019]\d{3})+|\d+"
 _NUMERIC_ORACLE = re.compile(
     r"(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)"
     rf"|(?P<DECIMAL>(?:{_WHOLE}),\d+)|(?P<INTEGER>{_WHOLE})")
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.text(st.sampled_from("0123456789.,\u2009\u202f a"), max_size=16))
+@given(st.text(st.sampled_from("0123456789.,\u2009\u202f'\u2019 a"),
+               max_size=16))
 def test_numeric_spans_equal_reference(text):
-    assert find_numeric_spans(text) == [
-        (m.group(), SpanKind[m.lastgroup])
-        for m in _NUMERIC_ORACLE.finditer(text)]
+    assert _numeric_spans(text) == [
+        (m.group(), m.lastgroup) for m in _NUMERIC_ORACLE.finditer(text)]
 
 
 @settings(max_examples=300, deadline=None)
