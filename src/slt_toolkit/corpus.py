@@ -11,7 +11,6 @@ import json
 import sys
 from enum import Enum
 from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, List, NamedTuple, Optional
 
@@ -120,11 +119,13 @@ class Corpus(FrozenSlots):
 
 
 def read_text(path: str | Path) -> str:
-    """The contents of a UTF-8 text file; a decode error names the file."""
+    """The contents of a UTF-8 text file without one leading byte order
+    mark (U+FEFF); a decode error names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _split_lines(raw: str) -> tuple[str, ...]:
@@ -142,8 +143,7 @@ def _split_lines(raw: str) -> tuple[str, ...]:
 def bundled_lines(name: str) -> tuple[str, ...]:
     """Lines of a data file shipped in ``slt_toolkit/data``, read once per
     process."""
-    path = resources.files("slt_toolkit.data") / name
-    return _split_lines(path.read_text(encoding="utf-8"))
+    return _split_lines(read_text(Path(__file__).parent / "data" / name))
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

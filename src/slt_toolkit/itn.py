@@ -12,23 +12,26 @@ import re
 
 from .numbers_de import NUMBER_PIECES, NUMBER_START_PIECES, parse_number_de
 
-# Standalone "ein"/"eine" are (almost always) articles, not the number one.
-_ARTICLE_WORDS = {"ein", "eine"}
-
 # Longest run of adjacent tokens tried as one spelled number ("zwei
 # millionen" as well as the joined "zweimillionen").
 _MAX_RUN = 4
 
 # Exact preconditions for parse_number_de, so that tokens no number word
 # can start with or contain are never joined and parsed. A run starts only
-# at a token whose first one or two characters begin a start piece; it
-# extends only over tokens whose first one or two characters occur in some
-# concatenation of pieces (inside one piece or across two).
-_START_HEADS = {word[:k] for word in NUMBER_START_PIECES for k in (1, 2)}
+# at a token whose first three characters (``token[:3]``) begin a start
+# piece, and extends only over tokens whose first three characters occur in
+# some concatenation of pieces. Every piece has at least three characters,
+# so those lie inside one piece or across the boundary of two: a piece's
+# last one or two characters followed by another's first one or two.
+_START_HEADS = {word[:k] for word in NUMBER_START_PIECES for k in (1, 2, 3)}
 _INNER_HEADS = {word[k:k + size] for word in NUMBER_PIECES
-                for k in range(len(word)) for size in (1, 2)}
-_INNER_HEADS |= {last + first for last in {word[-1] for word in NUMBER_PIECES}
-                 for first in {word[0] for word in NUMBER_PIECES}}
+                for k in range(len(word)) for size in (1, 2, 3)}
+_INNER_HEADS |= {tail + head
+                 for tail in {word[-k:] for word in NUMBER_PIECES
+                              for k in (1, 2)}
+                 for head in {word[:k] for word in NUMBER_PIECES
+                              for k in (1, 2)}
+                 if len(tail) + len(head) <= 3}
 
 
 def contract_numbers_de(text: str) -> str:
@@ -39,20 +42,22 @@ def contract_numbers_de(text: str) -> str:
     i = 0
     while i < n:
         token = tokens[i]
-        best_len = 0
-        if token[:2] in _START_HEADS:
-            run = ""
-            for j in range(i, min(i + _MAX_RUN, n)):
-                if j > i and tokens[j][:2] not in _INNER_HEADS:
-                    break
-                run += tokens[j]
-                value = parse_number_de(run)
+        end = i
+        if token[:3] in _START_HEADS:
+            # Gate the window first, then parse its runs from the longest
+            # down: the first run that parses is the longest one that does.
+            end = i + 1
+            stop = min(i + _MAX_RUN, n)
+            while end < stop and tokens[end][:3] in _INNER_HEADS:
+                end += 1
+            while end > i:
+                value = parse_number_de("".join(tokens[i:end]))
                 if value is not None:
-                    best_len = j - i + 1
-                    best_value = value
-        if best_len and not (best_len == 1 and token in _ARTICLE_WORDS):
-            out.append(str(best_value))
-            i += best_len
+                    break
+                end -= 1
+        if end > i:
+            out.append(str(value))
+            i = end
         else:
             out.append(token)
             i += 1

@@ -123,14 +123,16 @@ def parse_number_de(word: str) -> int | None:
     if word == "null":
         return 0
     rest = word
-    result = _parse_feminine_scale(rest, "milliarde", _TABLE_EINE)
-    if result is None:
-        return None
-    billions, rest = result
-    result = _parse_feminine_scale(rest, "million", _TABLE_EINE)
-    if result is None:
-        return None
-    millions, rest = result
+    billions = millions = 0
+    if "milli" in word:  # neither scale split applies without it
+        result = _parse_feminine_scale(rest, "milliarde", _TABLE_EINE)
+        if result is None:
+            return None
+        billions, rest = result
+        result = _parse_feminine_scale(rest, "million", _TABLE_EINE)
+        if result is None:
+            return None
+        millions, rest = result
     thousands = 0
     idx = rest.find("tausend")
     if idx == 0:

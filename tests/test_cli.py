@@ -1,13 +1,17 @@
 """Tests for the slt command line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slt_toolkit import metrics
 from slt_toolkit.cli import main
 from slt_toolkit.corpus import load_corpus, load_segments
 from slt_toolkit.frameplan import MAX_FRAME_COUNT
+from slt_toolkit.itn import restore_display
 from slt_toolkit.numbers_de import MAX_NUMBER, spell_number_de
 
 
@@ -150,6 +154,66 @@ def test_itn_segments(tmp_path, seg):
     out = tmp_path / "out.txt"
     assert main(["itn", "--in", inp, "--out", str(out)]) == 0
     assert list(load_segments(out)) == ["Das kostet 42 franken."]
+
+
+def test_itn_drops_a_leading_bom(tmp_path):
+    inp = tmp_path / "in.txt"
+    inp.write_bytes(b"\xef\xbb\xbfzwei millionen\n")
+    out = tmp_path / "out.txt"
+    assert main(["itn", "--in", str(inp), "--out", str(out)]) == 0
+    assert out.read_bytes() == b"2000000.\n"
+
+
+def test_stats_reads_a_bom_prefixed_corpus(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(
+        b'\xef\xbb\xbf{"id":"a","text":"x y x","source":"SRF"}\n')
+    assert main(["stats", "--in", str(corpus), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["Total"]["vocabulary"] == 2
+
+
+_FUZZ_TEXT = st.lists(st.one_of(
+    st.integers(0, MAX_NUMBER).map(spell_number_de),
+    st.sampled_from(["ein", "eine", "millionen", "tausend", "ü", "€", ".",
+                     "\ufeff", "\u2028", "\r", "\t"]),
+    st.text(max_size=8)), max_size=8).map(" ".join)
+
+
+@st.composite
+def _fuzz_input(draw):
+    """Bytes of an input file: random bytes, BOM-prefixed text, text with
+    mixed LF and CRLF line ends, or text cut inside a multi-byte
+    character."""
+    kind = draw(st.sampled_from(["bytes", "bom", "crlf", "cut"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + draw(_FUZZ_TEXT).encode("utf-8")
+    if kind == "crlf":
+        lines = draw(st.lists(_FUZZ_TEXT, max_size=4))
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                             min_size=len(lines), max_size=len(lines)))
+        return "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    char = draw(st.sampled_from(["ü", "ß", "€", "\U0001d11e"])).encode()
+    return draw(_FUZZ_TEXT).encode("utf-8") + \
+        char[:draw(st.integers(1, len(char) - 1))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_fuzz_input())
+def test_itn_fuzz_exits_0_or_names_the_file(tmp_path_factory, data):
+    workdir = tmp_path_factory.mktemp("itn-fuzz")
+    inp, out = workdir / "in.txt", workdir / "out.txt"
+    inp.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["itn", "--in", str(inp), "--out", str(out)])
+    assert code in (0, 2)
+    if code == 2:
+        assert str(inp) in err.getvalue()
+    else:
+        assert out.read_text(encoding="utf-8") == "".join(
+            restore_display(line) + "\n" for line in load_segments(inp))
 
 
 def test_stats_json(tmp_path, capsys):

@@ -142,6 +142,12 @@ def test_load_segments_crlf(tmp_path):
     assert list(load_segments(path)) == ["a b", "c d"]
 
 
+def test_load_segments_drops_one_leading_bom(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\n\xef\xbb\xbfb\n")
+    assert list(load_segments(path)) == ["\ufeffa", "\ufeffb"]
+
+
 def test_segments_roundtrip(tmp_path):
     lines = ["erste", "", "  mit rand  ", "letzte"]
     path = tmp_path / "s.txt"

@@ -41,6 +41,13 @@ def test_article_ein_left_alone():
     assert contract_numbers_de("eine katze schläft") == "eine katze schläft"
 
 
+def test_articles_are_not_numbers():
+    # So contraction needs no article guard of its own.
+    assert parse_number_de("ein") is None
+    assert parse_number_de("eine") is None
+    assert contract_numbers_de("ein hund") == "ein hund"
+
+
 def test_malformed_number_words_left_as_words():
     assert contract_numbers_de("zwanzigund drei") == "zwanzigund 3"
     assert contract_numbers_de("milliarden") == "milliarden"
@@ -201,10 +208,10 @@ def test_gated_itn_equals_reference_on_every_single_cut():
 
 def _assert_admitted(word):
     """The gates let through every token a run over ``word`` can hold."""
-    assert word[:2] in _START_HEADS and word[:1] in _START_HEADS, word
-    for k in range(len(word)):
-        assert word[k] in _INNER_HEADS, word
-        assert word[k:k + 2] in _INNER_HEADS, word
+    for size in (1, 2, 3):
+        assert word[:size] in _START_HEADS, word
+        for k in range(len(word)):
+            assert word[k:k + size] in _INNER_HEADS, word
 
 
 def test_gates_admit_every_table_key():
@@ -216,3 +223,72 @@ def test_gates_admit_every_table_key():
 @given(st.one_of(st.integers(0, 10 ** 6), st.integers(0, MAX_NUMBER)))
 def test_gates_admit_every_number_word(n):
     _assert_admitted(spell_number_de(n))
+
+
+# Reference: the parser before the "milli" gate, which tried both scale
+# splits on every word.
+def _parse_feminine_scale_reference(rest, word, table):
+    idx = rest.find(word)
+    if idx <= 0:
+        return 0, rest
+    coef = table.get(rest[:idx])
+    if coef is None:
+        return None
+    tail = rest[idx + len(word):]
+    if coef == 1:
+        if rest[:idx] != "eine":
+            return None
+        return 1, tail
+    suffix = "n" if word.endswith("e") else "en"
+    if not tail.startswith(suffix):
+        return None
+    return coef, tail[len(suffix):]
+
+
+def _parse_reference(word):
+    if word == "null":
+        return 0
+    rest = word
+    result = _parse_feminine_scale_reference(rest, "milliarde", _TABLE_EINE)
+    if result is None:
+        return None
+    billions, rest = result
+    result = _parse_feminine_scale_reference(rest, "million", _TABLE_EINE)
+    if result is None:
+        return None
+    millions, rest = result
+    thousands = 0
+    idx = rest.find("tausend")
+    if idx == 0:
+        return None
+    if idx > 0:
+        thousands = _TABLE_EIN.get(rest[:idx], 0)
+        if thousands == 0:
+            return None
+        rest = rest[idx + len("tausend"):]
+    low = 0
+    if rest:
+        low = _TABLE_EINS.get(rest, 0)
+        if low == 0:
+            return None
+    total = billions * 10 ** 9 + millions * 10 ** 6 + thousands * 1000 + low
+    return total if total else None
+
+
+@st.composite
+def _spellings(draw):
+    """A number word, cut at random or with a scale-like piece inserted."""
+    word = draw(_NUMBER_WORD)
+    a = draw(st.integers(0, len(word)))
+    b = draw(st.integers(a, len(word)))
+    if draw(st.booleans()):
+        return word[a:b]
+    insert = draw(st.sampled_from(["milli", "milliarde", "million",
+                                   "tausend", "eine"]))
+    return word[:a] + insert + word[a:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_spellings())
+def test_parse_equals_reference(word):
+    assert parse_number_de(word) == _parse_reference(word)

@@ -2,8 +2,9 @@
 
 Each check runs in a fresh interpreter and lists the package's modules in
 ``sys.modules``: ``import slt_toolkit`` loads none, the CLI loads the
-three that build its parser and every subcommand adds only its own (and
-``data``, the resource package, when it reads bundled data).
+three that build its parser and every subcommand adds only its own.
+Bundled data is read from files next to the package, without importing
+``importlib.resources``.
 """
 
 import json
@@ -75,11 +76,11 @@ _CORPUS = '{"id":"a","text":"der hund","source":"SRF"}\n'
 
 @pytest.mark.parametrize("command, added", [
     ("itn", ["itn"]),
-    ("normalize", ["data"]),
-    ("clean", ["cleaning", "data"]),
+    ("normalize", []),
+    ("clean", ["cleaning"]),
     ("stats", ["stats"]),
     ("bleu", ["metrics"]),
-    ("select", ["data", "metrics"]),
+    ("select", ["metrics"]),
     ("plan", ["frameplan"]),
 ])
 def test_subcommand_adds_only_its_modules(tmp_path, command, added):
@@ -106,6 +107,17 @@ print(json.dumps([before, loaded(), code]))
 """, *argv)
     assert code == 0
     assert sorted(set(after) - set(before)) == added
+
+
+def test_bundled_data_does_not_import_importlib_resources():
+    # -S: a site .pth file may import importlib.resources on its own.
+    code = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n" \
+        "import slt_toolkit.cli\nfrom slt_toolkit import metrics\n" \
+        "assert len(metrics.default_stoplist()) > 0\n" \
+        "print('importlib.resources' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["False"]
 
 
 def test_exports_resolve_to_submodule_objects():
