@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .corpus import Checked, Corpus, Utterance, bundled_lines, json_field, \
-    read_text
+    jsonl_line, read_text, write_segments
 
 
 class RuleName(Enum):
@@ -242,16 +242,8 @@ def clean_corpus(corpus: Corpus,
     return Corpus(survivors), outcomes
 
 
-_REPORT_JSON = json.JSONEncoder(ensure_ascii=False)
-
-
 def write_clean_report(outcomes: list[CleanOutcome], path: str | Path) -> None:
-    lines = []
-    for o in outcomes:
-        lines.append(_REPORT_JSON.encode({
-            "id": o.id,
-            "verdict": o.verdict.value,
-            "hits": [[name.value, span] for name, span in o.hits],
-        }))
-    Path(path).write_text("".join(line + "\n" for line in lines),
-                          encoding="utf-8")
+    write_segments([jsonl_line(
+        {"id": o.id, "verdict": o.verdict.value,
+         "hits": [[name.value, span] for name, span in o.hits]})
+        for o in outcomes], path)

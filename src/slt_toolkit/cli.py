@@ -14,8 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import CorpusError, json_field, load_corpus, load_segments, \
-    read_jsonl, write_corpus, write_segments
+from .corpus import jsonl_line, load_corpus, load_segments, write_corpus, \
+    write_segments
 from .normalize import AbbrevTable, NormConfig, default_abbrev_table, \
     normalize_text
 
@@ -37,9 +37,13 @@ def _stoplist(args):
     return metrics.default_stoplist()
 
 
+def _emit_json(payload: dict) -> None:
+    print(json.dumps({"schema_version": SCHEMA_VERSION} | payload))
+
+
 def _print_bleu(result, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(result.to_dict()))
+        _emit_json(result.to_dict())
     else:
         precisions = "/".join(f"{p:.3f}" for p in result.precisions)
         print(f"score {result.score:.2f}  (precisions {precisions}, "
@@ -79,22 +83,17 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_stats(args) -> int:
     from . import stats
-    corpus = load_corpus(args.input)
-    result = stats.vocab_stats(corpus)
+    result = stats.vocab_stats(load_corpus(args.input))
     if args.compare:
         other = stats.vocab_stats(load_corpus(args.compare))
         deltas = stats.compare_stats(result, other)
         if args.json:
-            print(json.dumps({
-                "schema_version": SCHEMA_VERSION,
-                "raw": result.to_dict(),
-                "clean": other.to_dict(),
-                "deltas": [d._asdict() for d in deltas],
-            }))
+            _emit_json({"raw": result.to_dict(), "clean": other.to_dict(),
+                        "deltas": [d._asdict() for d in deltas]})
         else:
             print(stats.format_comparison_table(deltas))
     elif args.json:
-        print(json.dumps({"schema_version": SCHEMA_VERSION} | result.to_dict()))
+        _emit_json(result.to_dict())
     else:
         print(stats.format_stats_table(result))
     return 0
@@ -130,7 +129,7 @@ def _cmd_select(args) -> int:
     report = metrics.select_checkpoint(candidates, refs, _stoplist(args),
                                        args.smoothing)
     if args.json:
-        print(json.dumps({"schema_version": SCHEMA_VERSION} | report.to_dict()))
+        _emit_json(report.to_dict())
     else:
         for c in report.candidates:
             print(f"{c.name}: BLEU {c.bleu.score:.2f}  "
@@ -152,27 +151,14 @@ def _cmd_plan(args) -> int:
     from . import frameplan
     win = frameplan.WindowSpec(window=args.window, stride=args.stride)
     if args.frames is not None:
-        plan = frameplan.plan_windows(args.frames, win)
-        print(json.dumps(plan.to_dict()))
+        _emit_json(frameplan.plan_windows(args.frames, win).to_dict())
         return 0
-    lines = []
-    for lineno, obj in read_jsonl(args.manifest):
-        where = f"{args.manifest}: line {lineno}"
-        id = json_field(obj, "id", str, where)
-        frames = json_field(obj, "frame_count", int, where)
-        width = json_field(obj, "width", int, where, None)
-        height = json_field(obj, "height", int, where, None)
-        try:
-            plan = frameplan.plan_windows(frames, win, width=width,
-                                          height=height)
-        except ValueError as exc:
-            raise CorpusError(f"{where}: {exc}") from exc
-        lines.append(json.dumps({"id": id} | plan.to_dict()))
-    output = "".join(line + "\n" for line in lines)
+    lines = [jsonl_line({"id": id} | plan.to_dict())
+             for id, plan in frameplan.plan_manifest(args.manifest, win)]
     if args.output:
-        Path(args.output).write_text(output, encoding="utf-8")
+        write_segments(lines, args.output)
     else:
-        sys.stdout.write(output)
+        sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 
 

@@ -231,7 +231,8 @@ def load_corpus(path: str | Path) -> Corpus:
         ) from None
 
 
-_CORPUS_JSON = json.JSONEncoder(ensure_ascii=False)
+# One JSON Lines record; non-ASCII characters, U+2028 included, stay raw.
+jsonl_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -240,8 +241,8 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
         obj: dict = {"id": utt.id, "text": utt.text, "source": utt.source.value}
         if utt.duration_s is not None:
             obj["duration_s"] = utt.duration_s
-        lines.append(_CORPUS_JSON.encode(obj))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        lines.append(jsonl_line(obj))
+    write_segments(lines, path)
 
 
 def load_segments(path: str | Path) -> tuple[str, ...]:
@@ -250,5 +251,6 @@ def load_segments(path: str | Path) -> tuple[str, ...]:
 
 
 def write_segments(segments: Iterable[str], path: str | Path) -> None:
-    lines = list(segments)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    """One UTF-8 line per segment, ended by LF on every platform."""
+    Path(path).write_text("".join(line + "\n" for line in segments),
+                          encoding="utf-8", newline="")

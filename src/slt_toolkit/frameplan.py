@@ -9,9 +9,10 @@ are emitted as data for downstream extractors.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Checked
+from .corpus import Checked, CorpusError, json_field, read_jsonl
 
 
 def _round_half_away(x: float) -> int:
@@ -95,8 +96,11 @@ def plan_padding(w: int, h: int,
     """Padded dimensions and the scale mapping them to the target box."""
     if w <= 0 or h <= 0:
         raise ValueError("frame dimensions must be positive")
-    padded_w = _round_half_away(w * (1.0 + spec.left_frac + spec.right_frac))
-    padded_h = _round_half_away(h * (1.0 + spec.top_frac + spec.bottom_frac))
+    try:
+        padded_w = _round_half_away(w * (1.0 + spec.left_frac + spec.right_frac))
+        padded_h = _round_half_away(h * (1.0 + spec.top_frac + spec.bottom_frac))
+    except OverflowError:  # padded beyond the float range
+        raise ValueError("frame dimensions are too large") from None
     return padded_w, padded_h, spec.target_w / padded_w, spec.target_h / padded_h
 
 
@@ -128,6 +132,23 @@ def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
         starts = tuple(range(0, frame_count - spec.window + 1, spec.stride))
         tail = 0
     return WindowPlan(padded_w, padded_h, scale_x, scale_y, starts, tail)
+
+
+def plan_manifest(path: str | Path, spec: WindowSpec = WindowSpec()
+                  ) -> list[tuple[str, WindowPlan]]:
+    """(id, plan) per JSONL manifest line; errors name the file and line."""
+    plans = []
+    for lineno, obj in read_jsonl(path):
+        where = f"{path}: line {lineno}"
+        id = json_field(obj, "id", str, where)
+        frames = json_field(obj, "frame_count", int, where)
+        width = json_field(obj, "width", int, where, None)
+        height = json_field(obj, "height", int, where, None)
+        try:
+            plans.append((id, plan_windows(frames, spec, width, height)))
+        except ValueError as exc:
+            raise CorpusError(f"{where}: {exc}") from exc
+    return plans
 
 
 def plan_mouth(frame_count: int) -> MouthPlan:

@@ -1,10 +1,12 @@
 """Target-text normalization: abbreviations, dates, numbers, punctuation, case.
 
-Pipeline order is abbreviations -> dates -> numbers -> punctuation strip ->
-lowercase -> whitespace collapse. Dates go before plain numbers so that
-"3.10.2022" is expanded as a date instead of being shredded into integers.
-After one pass the output contains no digits, no punctuation or symbol
-characters and no uppercase letters, which makes the pipeline idempotent.
+Pipeline order is NFC -> abbreviations -> dates -> numbers -> punctuation
+and format-character strip -> lowercase -> whitespace collapse -> NFC. Dates
+go before plain numbers so that "3.10.2022" is expanded as a date instead of
+being shredded into integers. After one pass the output is NFC and contains
+no digits, no punctuation, symbol or format characters and no uppercase
+letters, which makes the pipeline idempotent. NFKC is not applied: it would
+turn the thin spaces inside grouped numbers into plain spaces.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 # Priority: DATE, then a number: digits with optional thousands separators
 # (dot, thin/narrow space, or the Swiss apostrophe ' or ’), an INTEGER unless
 # a comma fraction follows and makes it a DECIMAL. m.lastgroup names the
-# kind, m.group() is the span.
+# kind, m.group() is the span. Both alternatives start with a digit, and
+# the leading lookahead says so: the search then skips other characters in
+# C instead of trying each alternative at every position.
 _NUMERIC_RE = re.compile(
-    r"(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)"
-    r"|(?P<INTEGER>\d{1,3}(?:[.  '’]\d{3})+|\d+)(?P<DECIMAL>,\d+)?"
+    r"(?=\d)(?:(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)"
+    r"|(?P<INTEGER>\d{1,3}(?:[.  '’]\d{3})+|\d+)(?P<DECIMAL>,\d+)?)"
 )
 
 _SEPARATORS_RE = re.compile(r"[.  '’]")
@@ -146,10 +150,12 @@ class _CodePointMap(dict):
         return value
 
 
-# Unicode punctuation (P*) and symbols (S*) become spaces; letters
+# Unicode punctuation (P*) and symbols (S*) become spaces and format
+# characters (Cf: U+200B, U+00AD, U+2060, U+FEFF, ...) are deleted; letters
 # including umlauts and ß are untouched.
 _PUNCT_MAP = _CodePointMap(
-    lambda ch: " " if unicodedata.category(ch)[0] in "PS" else ch)
+    lambda ch: " " if unicodedata.category(ch)[0] in "PS"
+    else "" if unicodedata.category(ch) == "Cf" else ch)
 
 # Digits that are not decimal (superscripts, subscripts, circled digits:
 # "²", "₂", "①") escape the \d of _NUMERIC_RE but are str.isdigit; each is
@@ -186,6 +192,7 @@ def normalize_text(text: str, table: AbbrevTable | None = None,
                    cfg: NormConfig = NormConfig()) -> str:
     if table is None:
         table = default_abbrev_table()
+    text = unicodedata.normalize("NFC", text)
     if cfg.expand_abbrev:
         text = _expand_abbreviations(text, table)
     if cfg.expand_dates or cfg.expand_numbers:
@@ -194,4 +201,6 @@ def normalize_text(text: str, table: AbbrevTable | None = None,
         text = _strip_punctuation(text)
     if cfg.lowercase:
         text = text.lower()
-    return " ".join(text.split())
+    # A deleted format character or a spelled number can leave a combining
+    # mark after a letter it now composes with.
+    return unicodedata.normalize("NFC", " ".join(text.split()))

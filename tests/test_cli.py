@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +39,7 @@ def test_bleu_json_matches_library(seg, capsys):
     assert main(["bleu", "--hyp", hyp, "--ref", ref, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     expected = metrics.bleu(["a b c d"], ["a b c d e"])
-    assert payload == expected.to_dict()
+    assert payload == {"schema_version": 1} | expected.to_dict()
 
 
 def test_bleu_mismatch_is_data_error(seg, capsys):
@@ -71,7 +72,7 @@ def test_reduced_bleu_delegates(seg, capsys):
     expected = metrics.reduced_bleu(
         ["der hund bellt laut sehr gut"], ["die hund bellt laut sehr gut"],
         metrics.StopList.from_lines(["der", "die"]))
-    assert payload == expected.to_dict()
+    assert payload == {"schema_version": 1} | expected.to_dict()
 
 
 def test_stoplist_env_override(seg, capsys, monkeypatch):
@@ -216,6 +217,98 @@ def test_itn_fuzz_exits_0_or_names_the_file(tmp_path_factory, data):
             restore_display(line) + "\n" for line in load_segments(inp))
 
 
+# Frame counts at or below 10 000 or above the bound: planning close to
+# the bound is slow by design.
+_FRAMES = st.one_of(st.integers(-3, 10_000),
+                    st.integers(MAX_FRAME_COUNT + 1, 10 ** 400),
+                    st.sampled_from([0, 1, MAX_FRAME_COUNT + 1, 10 ** 400]))
+_JSON_ANY = st.recursive(
+    st.none() | st.booleans() | _FRAMES | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) |
+    st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_FIELD_VALUES = {
+    "id": st.sampled_from(["a", "b", "", "Zürich-1", "a\u2028b"]),
+    "text": _FUZZ_TEXT,
+    "source": st.sampled_from(["SRF", "FN", "LEX", "OTHER", "srf"]),
+    "duration_s": st.floats(),
+    "frame_count": _FRAMES,
+    "width": _FRAMES,
+    "height": _FRAMES,
+}
+
+
+@st.composite
+def _jsonl_input(draw, fields):
+    """Bytes of a JSONL input: random bytes, or lines of objects whose
+    fields are valid, random JSON values or absent, of other JSON values
+    and of text, with mixed LF and CRLF ends, maybe behind a BOM and maybe
+    cut anywhere."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.sampled_from(["object", "object", "value", "text"]))
+        if shape == "object":
+            obj = {}
+            for name in fields:
+                choice = draw(st.sampled_from(["valid", "valid", "any",
+                                               "absent"]))
+                if choice != "absent":
+                    obj[name] = draw(_FIELD_VALUES[name]
+                                     if choice == "valid" else _JSON_ANY)
+            lines.append(json.dumps(obj, ensure_ascii=draw(st.booleans())))
+        elif shape == "value":
+            lines.append(json.dumps(draw(_JSON_ANY)))
+        else:
+            lines.append(draw(_FUZZ_TEXT))
+    data = "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
+                   for line in lines).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+_CORPUS_FIELDS = ("id", "text", "source", "duration_s")
+_FIELDS = {"clean": _CORPUS_FIELDS, "stats": _CORPUS_FIELDS,
+           "plan": ("id", "frame_count", "width", "height")}
+
+
+@pytest.mark.parametrize("command", ["clean", "stats", "plan"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_jsonl_fuzz_exits_0_or_names_the_file_and_line(tmp_path_factory,
+                                                        command, data):
+    workdir = tmp_path_factory.mktemp(f"{command}-fuzz")
+    inp, out, report = (workdir / "in.jsonl", workdir / "out.jsonl",
+                        workdir / "report.jsonl")
+    inp.write_bytes(data.draw(_jsonl_input(_FIELDS[command])))
+    argv = {"clean": ["clean", "--in", str(inp), "--out", str(out),
+                      "--report", str(report)],
+            "stats": ["stats", "--in", str(inp), "--json"],
+            "plan": ["plan", "--manifest", str(inp), "--out", str(out)]}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv[command])
+    assert code in (0, 2)
+    if code == 2:
+        message = err.getvalue()
+        assert message.startswith(f"error: {inp}: ")
+        if "not valid UTF-8" not in message:
+            assert re.match(rf"error: {re.escape(str(inp))}: "
+                            r"(line \d+: |duplicate id .* \(lines \d+ and "
+                            r"\d+\))", message)
+        assert not out.exists() and not report.exists()
+    elif command == "clean":
+        load_corpus(out)
+        assert len(load_segments(report)) == len(load_corpus(inp))
+    elif command == "plan":
+        assert all("id" in json.loads(line) for line in load_segments(out))
+
+
 def test_stats_json(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text(
@@ -302,6 +395,17 @@ def test_plan_manifest(tmp_path, capsys):
     assert plans[1]["tail_padding"] == 24
 
 
+def test_plan_manifest_keeps_non_ascii_ids_raw(tmp_path):
+    manifest, out = tmp_path / "m.jsonl", tmp_path / "plans.jsonl"
+    manifest.write_text('{"id":"Zürich-1","frame_count":0}\n',
+                        encoding="utf-8")
+    assert main(["plan", "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        '{"id": "Zürich-1", "padded_w": 224, "padded_h": 224, "scale_x": 1.0, '
+        '"scale_y": 1.0, "window_starts": [], "tail_padding": 0, '
+        '"feature_dim": 1024}\n').encode("utf-8")
+
+
 def test_plan_manifest_keeps_unicode_line_separator(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
     manifest.write_text('{"id":"a\u2028b","frame_count":40}\n',
@@ -378,9 +482,10 @@ def test_stats_compare_json_exact(tmp_path, capsys):
         '"clean": 2, "delta": -2, "pct": -50.0, "increased": false}]}\n')
 
 
-_GOOD_BLEU = ('{"score": 63.289270782060825, "precisions": '
-              '[0.8333333333333334, 0.75, 0.5, 1.0], "brevity_penalty": '
-              '0.846481724890614, "hyp_len": 6, "ref_len": 7}')
+_GOOD_BLEU_FIELDS = ('"score": 63.289270782060825, "precisions": '
+                     '[0.8333333333333334, 0.75, 0.5, 1.0], "brevity_penalty": '
+                     '0.846481724890614, "hyp_len": 6, "ref_len": 7}')
+_GOOD_BLEU = "{" + _GOOD_BLEU_FIELDS
 
 
 def test_select_json_exact(seg, capsys):
@@ -407,15 +512,35 @@ def test_bleu_json_exact(seg, capsys):
     ref = seg("ref.txt", ["der hund bellt laut", "die katze schläft"])
     hyp = seg("good.txt", ["der hund bellt", "katze schläft gern"])
     assert main(["bleu", "--hyp", hyp, "--ref", ref, "--json"]) == 0
-    assert capsys.readouterr().out == _GOOD_BLEU + "\n"
+    assert capsys.readouterr().out == \
+        '{"schema_version": 1, ' + _GOOD_BLEU_FIELDS + "\n"
 
 
 def test_plan_frames_exact(capsys):
     assert main(["plan", "--frames", "100"]) == 0
     assert capsys.readouterr().out == (
-        '{"padded_w": 224, "padded_h": 224, "scale_x": 1.0, "scale_y": 1.0, '
-        '"window_starts": [0, 8, 16, 24, 32], "tail_padding": 0, '
-        '"feature_dim": 1024}\n')
+        '{"schema_version": 1, "padded_w": 224, "padded_h": 224, "scale_x": '
+        '1.0, "scale_y": 1.0, "window_starts": [0, 8, 16, 24, 32], '
+        '"tail_padding": 0, "feature_dim": 1024}\n')
+
+
+@pytest.mark.parametrize("command", ["stats", "stats --compare", "select",
+                                     "bleu", "reduced-bleu", "plan --frames"])
+def test_every_json_document_starts_with_schema_version(tmp_path, seg,
+                                                        capsys, command):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(_RAW, encoding="utf-8")
+    hyp, ref = seg("h.txt", ["der hund bellt"]), seg("r.txt", ["der hund"])
+    argv = {"stats": ["stats", "--in", str(corpus)],
+            "stats --compare": ["stats", "--in", str(corpus),
+                                "--compare", str(corpus)],
+            "select": ["select", "--ref", ref, "--hyp", f"a={hyp}"],
+            "bleu": ["bleu", "--hyp", hyp, "--ref", ref],
+            "reduced-bleu": ["reduced-bleu", "--hyp", hyp, "--ref", ref],
+            "plan --frames": ["plan", "--frames", "80"]}[command]
+    assert main(argv + (["--json"] if command != "plan --frames" else [])) == 0
+    [(key, value), *_] = json.loads(capsys.readouterr().out).items()
+    assert (key, value) == ("schema_version", 1)
 
 
 # Each JSON field takes one type; any other value is a data error that

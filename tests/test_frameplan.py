@@ -1,12 +1,16 @@
 """Tests for padding and window-plan geometry."""
 
+import re
+
 import pytest
 
+from slt_toolkit.corpus import CorpusError
 from slt_toolkit.frameplan import (
     MAX_FRAME_COUNT,
     MouthPlan,
     PadSpec,
     WindowSpec,
+    plan_manifest,
     plan_mouth,
     plan_padding,
     plan_windows,
@@ -44,6 +48,33 @@ def test_invalid_dimensions():
         plan_padding(0, 100)
     with pytest.raises(ValueError):
         PadSpec(left_frac=-0.1)
+
+
+def test_dimensions_padded_beyond_float_range():
+    with pytest.raises(ValueError, match="too large"):
+        plan_padding(10 ** 400, 100)
+    with pytest.raises(ValueError, match="too large"):
+        plan_windows(40, width=100, height=int(1.7e308))
+
+
+def test_plan_manifest_plans_each_line(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"id":"a","frame_count":80,"width":10,"height":10}'
+                        '\n\n{"id":"b","frame_count":0}\n', encoding="utf-8")
+    spec = WindowSpec(window=32, stride=16)
+    assert plan_manifest(manifest, spec) == [
+        ("a", plan_windows(80, spec, width=10, height=10)),
+        ("b", plan_windows(0, spec))]
+
+
+def test_plan_manifest_error_names_file_and_line(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"id":"a","frame_count":1}\n'
+                        '{"id":"b","frame_count":1,"width":0,"height":5}\n',
+                        encoding="utf-8")
+    with pytest.raises(CorpusError,
+                       match=f"^{re.escape(str(manifest))}: line 2: frame "):
+        plan_manifest(manifest)
 
 
 def test_single_window():

@@ -281,8 +281,9 @@ def _expand_abbreviations_oracle(text, table):
 
 
 def _strip_punctuation_oracle(text):
-    return "".join(
-        " " if unicodedata.category(ch)[0] in "PS" else ch for ch in text)
+    categories = [unicodedata.category(ch) for ch in text]
+    return "".join(" " if cat[0] in "PS" else "" if cat == "Cf" else ch
+                   for ch, cat in zip(text, categories))
 
 
 _ANY_CHAR = st.characters(blacklist_categories=("Cs",))
@@ -324,6 +325,55 @@ _NUMERIC_ORACLE = re.compile(
 def test_numeric_spans_equal_reference(text):
     assert _numeric_spans(text) == [
         (m.group(), m.lastgroup) for m in _NUMERIC_ORACLE.finditer(text)]
+
+
+# The pattern without its leading (?=\d): the lookahead only lets the
+# search skip non-digits, so every match must stay as it was.
+_NUMERIC_UNPREFIXED = re.compile(
+    r"(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)"
+    r"|(?P<INTEGER>\d{1,3}(?:[.\u2009\u202f'\u2019]\d{3})+|\d+)"
+    r"(?P<DECIMAL>,\d+)?")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from("0123456789.,\u2009\u202f'\u2019 aZ²٣"),
+               max_size=24))
+def test_numeric_lookahead_changes_no_match(text):
+    def matches(pattern):
+        return [(m.span(), m.lastgroup, m.groups())
+                for m in pattern.finditer(text)]
+    assert matches(_NUMERIC_RE) == matches(_NUMERIC_UNPREFIXED)
+
+
+def test_normalize_nfd_equals_nfc():
+    nfc = "Grüße für Zürich"
+    nfd = unicodedata.normalize("NFD", nfc)
+    assert nfd != nfc
+    assert normalize_text(nfd) == normalize_text(nfc) == "grüße für zürich"
+
+
+@pytest.mark.parametrize("char", ["\u200b", "\u00ad", "\u2060", "\ufeff"])
+def test_normalize_drops_format_characters(char):
+    assert normalize_text(f"{char}Zür{char}ich 3{char} Mrd.{char}") == \
+        "zürich drei milliarden"
+
+
+# Combining marks and format characters next to digits, abbreviations and
+# letters they compose with once a format character between them is gone.
+_FORM_PIECES = st.sampled_from(["\u0301", "\u0308", "\u0338", "\u200b",
+                                "\u00ad", "\u2060", "\ufeff", "1", "Mrd.",
+                                "u", "=", "Ü"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_TEXT, _FORM_PIECES), max_size=8))
+def test_normalize_form_independent_nfc_and_idempotent(pieces):
+    text = "".join(pieces)
+    out = normalize_text(text)
+    assert normalize_text(unicodedata.normalize("NFD", text)) == out
+    assert unicodedata.is_normalized("NFC", out)
+    assert not any(unicodedata.category(ch) == "Cf" for ch in out)
+    assert normalize_text(out) == out
 
 
 @settings(max_examples=300, deadline=None)
