@@ -12,7 +12,6 @@ is dropped outright.
 
 from __future__ import annotations
 
-import json
 import re
 from enum import Enum
 from functools import cache
@@ -21,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .corpus import Checked, Corpus, Utterance, bundled_lines, json_field, \
-    jsonl_line, read_text, write_segments
+    json_object, jsonl_line, read_text, write_segments
 
 
 class RuleName(Enum):
@@ -170,27 +169,22 @@ class CleanConfig(NamedTuple):
 
     @staticmethod
     def from_json(path: str | Path) -> "CleanConfig":
-        """Errors in the file's content name the file."""
+        """Errors in the file's content name the file, and malformed JSON
+        over several lines the line."""
+        text = read_text(path)
         try:
-            obj = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        rules = json_field(obj, "enabled_rules", list, path, None)
-        try:
+            obj = json_object(text)
+            rules = json_field(obj, "enabled_rules", list, None)
             enabled = frozenset(RuleName) if rules is None \
                 else frozenset(map(RuleName, rules))
+            return CleanConfig(
+                json_field(obj, "status_patterns", list,
+                           DEFAULT_STATUS_PATTERNS),
+                json_field(obj, "foreign_threshold", float,
+                           DEFAULT_FOREIGN_THRESHOLD),
+                enabled)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return CleanConfig(
-            json_field(obj, "status_patterns", list, path,
-                       DEFAULT_STATUS_PATTERNS),
-            json_field(obj, "foreign_threshold", float, path,
-                       DEFAULT_FOREIGN_THRESHOLD),
-            enabled)
 
 
 def _clean_one(utt: Utterance, profiles: Sequence[LanguageProfile],

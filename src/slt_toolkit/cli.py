@@ -14,12 +14,13 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import jsonl_line, load_corpus, load_segments, write_corpus, \
-    write_segments
+from .corpus import CorpusError, jsonl_line, load_corpus, load_segments, \
+    write_corpus, write_segments
 from .normalize import AbbrevTable, NormConfig, default_abbrev_table, \
     normalize_text
 
 SCHEMA_VERSION = 1
+_INF = float("inf")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,6 +36,15 @@ def _stoplist(args):
     if path:
         return metrics.StopList.from_file(path)
     return metrics.default_stoplist()
+
+
+def _references(path):
+    """Reference segments; a file without a token is a data error that
+    names it."""
+    refs = load_segments(path)
+    if not any(map(str.split, refs)):
+        raise CorpusError(f"{path}: reference corpus is empty")
+    return refs
 
 
 def _emit_json(payload: dict) -> None:
@@ -83,10 +93,22 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_stats(args) -> int:
     from . import stats
-    result = stats.vocab_stats(load_corpus(args.input))
+
+    def load_stats(path):
+        result = stats.vocab_stats(load_corpus(path))
+        # Durations are >= 0: no per-source sum exceeds a finite total.
+        if result.total.hours == _INF:
+            raise CorpusError(
+                f"{path}: duration_s values sum past the float range")
+        return result
+
+    result = load_stats(args.input)
     if args.compare:
-        other = stats.vocab_stats(load_corpus(args.compare))
+        other = load_stats(args.compare)
         deltas = stats.compare_stats(result, other)
+        if any(d.pct == _INF for d in deltas):  # a tiny raw hours total
+            raise CorpusError(f"{args.compare}: the change in hours against "
+                              f"{args.input} is past the float range")
         if args.json:
             _emit_json({"raw": result.to_dict(), "clean": other.to_dict(),
                         "deltas": [d._asdict() for d in deltas]})
@@ -102,7 +124,7 @@ def _cmd_stats(args) -> int:
 def _cmd_bleu(args) -> int:
     from . import metrics
     hyps = load_segments(args.hyp)
-    refs = load_segments(args.ref)
+    refs = _references(args.ref)
     _print_bleu(metrics.bleu(hyps, refs, args.smoothing), args.json)
     return 0
 
@@ -110,7 +132,7 @@ def _cmd_bleu(args) -> int:
 def _cmd_reduced_bleu(args) -> int:
     from . import metrics
     hyps = load_segments(args.hyp)
-    refs = load_segments(args.ref)
+    refs = _references(args.ref)
     result = metrics.reduced_bleu(hyps, refs, _stoplist(args),
                                   args.smoothing, side=args.reduced_side)
     _print_bleu(result, args.json)
@@ -119,7 +141,7 @@ def _cmd_reduced_bleu(args) -> int:
 
 def _cmd_select(args) -> int:
     from . import metrics
-    refs = load_segments(args.ref)
+    refs = _references(args.ref)
     candidates = []
     for spec in args.hyp:
         name, _, path = spec.partition("=")

@@ -12,7 +12,7 @@ import sys
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, List, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 
 class Source(Enum):
@@ -120,11 +120,15 @@ class Corpus(FrozenSlots):
 
 def read_text(path: str | Path) -> str:
     """The contents of a UTF-8 text file without one leading byte order
-    mark (U+FEFF); a decode error names the file."""
+    mark (U+FEFF); a decode error names the file and the line. Bytes are
+    decoded as they are, so a lone "\r" stays inside its line."""
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(
+            f"{path}: line {line}: not valid UTF-8: {exc}") from exc
     return text[1:] if text.startswith("\ufeff") else text
 
 
@@ -146,27 +150,34 @@ def bundled_lines(name: str) -> tuple[str, ...]:
     return _split_lines(read_text(Path(__file__).parent / "data" / name))
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each nonblank line of a JSONL file.
+def parse_lines(lines: Iterable[str], path: str | Path,
+                parse: Callable[[str], object]) -> list[tuple[int, object]]:
+    """(line number, ``parse(line)``) for each nonblank line. A ValueError
+    from ``parse`` becomes a CorpusError that names the file and the line:
+    this is the one place that says where in a file a line is wrong."""
+    parsed = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                parsed.append((lineno, parse(line)))
+            except ValueError as exc:
+                raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+    return parsed
 
-    write_corpus keeps U+2028, U+2029 and U+0085 raw inside JSON strings,
-    so lines are split as in segment files. Errors name the file and the
-    line.
-    """
-    for lineno, line in enumerate(_split_lines(read_text(path)), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(
-                f"{path}: line {lineno}: malformed JSON: {exc.msg}") from exc
-        except RecursionError:
-            raise CorpusError(
-                f"{path}: line {lineno}: JSON nested too deeply") from None
-        if not isinstance(obj, dict):
-            raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
-        yield lineno, obj
+
+def json_object(text: str) -> dict:
+    """The JSON object ``text`` holds; errors carry no location, except the
+    line of malformed JSON in a text of several lines (a whole file)."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f"line {exc.lineno}: " if "\n" in text else ""
+        raise CorpusError(f"{where}malformed JSON: {exc.msg}") from None
+    except RecursionError:
+        raise CorpusError("JSON nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise CorpusError("expected a JSON object")
+    return obj
 
 
 _REQUIRED = object()
@@ -174,15 +185,13 @@ _KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
                list: "a list of strings"}
 
 
-def json_field(obj: dict, name: str, kind: type, where: str | Path,
-               default=_REQUIRED):
+def json_field(obj: dict, name: str, kind: type, default=_REQUIRED):
     """Field ``name`` of a parsed JSON object, checked against ``kind``:
     ``str``; ``int``, not a boolean; ``float``, any finite number but not a
     boolean, returned as a float; ``list``, of strings, returned as a tuple.
 
     An absent or null field gives ``default`` and, without one, is an
-    error. Errors are CorpusErrors that start with ``where`` (the file,
-    and for JSONL the line) and name the field.
+    error: a CorpusError that names the field, placed by the caller.
     """
     value = obj.get(name)
     if value is None and default is not _REQUIRED:
@@ -196,38 +205,31 @@ def json_field(obj: dict, name: str, kind: type, where: str | Path,
             return tuple(value)
     elif type(value) is kind:  # type(True) is bool, not int
         return value
-    raise CorpusError(f"{where}: field '{name}' must be {_KIND_NAMES[kind]}")
+    raise CorpusError(f"field '{name}' must be {_KIND_NAMES[kind]}")
 
 
-def _utterance_from_obj(obj: dict, path: str | Path, lineno: int) -> Utterance:
-    where = f"{path}: line {lineno}"
-    id = json_field(obj, "id", str, where)
-    text = json_field(obj, "text", str, where)
-    source = json_field(obj, "source", str, where, None)
-    duration = json_field(obj, "duration_s", float, where, None)
+def _utterance(line: str) -> Utterance:
+    obj = json_object(line)
+    id = json_field(obj, "id", str)
+    text = json_field(obj, "text", str)
+    source = json_field(obj, "source", str, None)
+    duration = json_field(obj, "duration_s", float, None)
     try:
-        return Utterance(id, text,
-                         Source.OTHER if source is None else Source(source),
-                         duration)
-    except CorpusError as exc:
-        raise CorpusError(f"{where}: {exc}") from None
+        source = Source.OTHER if source is None else Source(source)
     except ValueError:
-        raise CorpusError(f"{where}: unknown source '{source}'") from None
+        raise CorpusError(f"unknown source '{source}'") from None
+    return Utterance(id, text, source, duration)
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus; one object per line with at least id and text."""
-    utterances: List[Utterance] = []
-    linenos: List[int] = []
-    for lineno, obj in read_jsonl(path):
-        utterances.append(_utterance_from_obj(obj, path, lineno))
-        linenos.append(lineno)
+    parsed = parse_lines(load_segments(path), path, _utterance)
     try:
-        return Corpus(tuple(utterances))
+        return Corpus(tuple(utt for _, utt in parsed))
     except DuplicateIdError as exc:
         raise CorpusError(
             f"{path}: duplicate id '{exc.id}' "
-            f"(lines {linenos[exc.first]} and {linenos[exc.second]})"
+            f"(lines {parsed[exc.first][0]} and {parsed[exc.second][0]})"
         ) from None
 
 

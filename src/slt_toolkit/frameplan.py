@@ -12,7 +12,8 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Checked, CorpusError, json_field, read_jsonl
+from .corpus import Checked, json_field, json_object, load_segments, \
+    parse_lines
 
 
 def _round_half_away(x: float) -> int:
@@ -137,18 +138,14 @@ def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
 def plan_manifest(path: str | Path, spec: WindowSpec = WindowSpec()
                   ) -> list[tuple[str, WindowPlan]]:
     """(id, plan) per JSONL manifest line; errors name the file and line."""
-    plans = []
-    for lineno, obj in read_jsonl(path):
-        where = f"{path}: line {lineno}"
-        id = json_field(obj, "id", str, where)
-        frames = json_field(obj, "frame_count", int, where)
-        width = json_field(obj, "width", int, where, None)
-        height = json_field(obj, "height", int, where, None)
-        try:
-            plans.append((id, plan_windows(frames, spec, width, height)))
-        except ValueError as exc:
-            raise CorpusError(f"{where}: {exc}") from exc
-    return plans
+    def parse(line: str) -> tuple[str, WindowPlan]:
+        obj = json_object(line)
+        # A global looked up per call: a wrapper set on the module sees it.
+        return (json_field(obj, "id", str),
+                plan_windows(json_field(obj, "frame_count", int), spec,
+                             json_field(obj, "width", int, None),
+                             json_field(obj, "height", int, None)))
+    return [plan for _, plan in parse_lines(load_segments(path), path, parse)]
 
 
 def plan_mouth(frame_count: int) -> MouthPlan:

@@ -19,7 +19,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from .corpus import FrozenSlots, bundled_lines, load_segments
+from .corpus import FrozenSlots, bundled_lines, load_segments, parse_lines
 
 NGRAM_ORDER = 4
 
@@ -151,12 +151,12 @@ def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuS
 
 
 class StopList(FrozenSlots):
-    """Lowercase stop words without spaces."""
+    """Lowercase stop words, each a possible ``str.split()`` token."""
     __slots__ = ("words",)
 
     def __init__(self, words: frozenset[str]) -> None:
         for word in words:
-            if word != word.lower() or word != word.strip() or " " in word:
+            if word != word.lower() or word.split() != [word]:
                 raise ValueError(f"invalid stop word: {word!r}")
         object.__setattr__(self, "words", words)
 
@@ -169,13 +169,18 @@ class StopList(FrozenSlots):
     @staticmethod
     def from_lines(lines: Iterable[str]) -> "StopList":
         """Lowercase and dedupe; apostrophized entries also contribute their
-        apostrophe-stripped form ("geht's" -> "gehts")."""
+        apostrophe-stripped form ("geht's" -> "gehts") unless it is empty."""
         words = {word for line in lines if (word := line.strip().lower())}
-        return StopList(frozenset(words | {w.replace("'", "") for w in words}))
+        return StopList(frozenset(
+            words | {bare for w in words if (bare := w.replace("'", ""))}))
 
     @staticmethod
     def from_file(path: str | Path) -> "StopList":
-        return StopList.from_lines(load_segments(path))
+        """Errors name the file and the line."""
+        lines = load_segments(path)
+        # Each line on its own first, so that an invalid word names its line.
+        parse_lines(lines, path, lambda line: StopList.from_lines((line,)))
+        return StopList.from_lines(lines)
 
 
 @cache

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .corpus import Checked, bundled_lines, load_segments
+from .corpus import Checked, bundled_lines, load_segments, parse_lines
 from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 
 
@@ -69,16 +69,17 @@ class AbbrevTable(Checked, _AbbrevTableFields):
         return _table_from_lines(load_segments(path), path)
 
 
+def _row(line: str) -> list[str]:
+    """One TSV row, abbreviation and expansion, checked as a table of one."""
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise ValueError("expected two columns")
+    AbbrevTable(dict([parts]))
+    return parts
+
+
 def _table_from_lines(lines: Iterable[str], path: str | Path) -> AbbrevTable:
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path} line {lineno}: expected two columns")
-        entries[parts[0]] = parts[1]
-    return AbbrevTable(entries)
+    return AbbrevTable(dict(row for _, row in parse_lines(lines, path, _row)))
 
 
 @cache

@@ -213,7 +213,7 @@ def test_itn_fuzz_exits_0_or_names_the_file(tmp_path_factory, data):
     if code == 2:
         assert str(inp) in err.getvalue()
     else:
-        assert out.read_text(encoding="utf-8") == "".join(
+        assert out.read_bytes().decode("utf-8") == "".join(
             restore_display(line) + "\n" for line in load_segments(inp))
 
 
@@ -235,15 +235,20 @@ _FIELD_VALUES = {
     "frame_count": _FRAMES,
     "width": _FRAMES,
     "height": _FRAMES,
+    "status_patterns": st.lists(st.text(max_size=6), max_size=3),
+    "enabled_rules": st.lists(st.sampled_from(
+        ["STATUS_MESSAGE", "HASHTAG_START", "NO_SUCH_RULE"]), max_size=2),
+    "foreign_threshold": st.floats(),
 }
 
 
 @st.composite
-def _jsonl_input(draw, fields):
+def _jsonl_input(draw, fields, indent=None):
     """Bytes of a JSONL input: random bytes, or lines of objects whose
     fields are valid, random JSON values or absent, of other JSON values
     and of text, with mixed LF and CRLF ends, maybe behind a BOM and maybe
-    cut anywhere."""
+    cut anywhere. With ``indent``, objects span several lines, as in a
+    config file."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=64))
     lines = []
@@ -257,13 +262,15 @@ def _jsonl_input(draw, fields):
                 if choice != "absent":
                     obj[name] = draw(_FIELD_VALUES[name]
                                      if choice == "valid" else _JSON_ANY)
-            lines.append(json.dumps(obj, ensure_ascii=draw(st.booleans())))
+            lines.append(json.dumps(obj, ensure_ascii=draw(st.booleans()),
+                                    indent=indent))
         elif shape == "value":
             lines.append(json.dumps(draw(_JSON_ANY)))
         else:
             lines.append(draw(_FUZZ_TEXT))
     data = "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
-                   for line in lines).encode("utf-8")
+                   for line in "\n".join(lines).split("\n") if lines
+                   ).encode("utf-8")
     if draw(st.booleans()):
         data = b"\xef\xbb\xbf" + data
     if draw(st.booleans()):
@@ -272,41 +279,93 @@ def _jsonl_input(draw, fields):
 
 
 _CORPUS_FIELDS = ("id", "text", "source", "duration_s")
-_FIELDS = {"clean": _CORPUS_FIELDS, "stats": _CORPUS_FIELDS,
-           "plan": ("id", "frame_count", "width", "height")}
+_INPUTS = {
+    "clean": _jsonl_input(_CORPUS_FIELDS),
+    "stats": _jsonl_input(_CORPUS_FIELDS),
+    "plan": _jsonl_input(("id", "frame_count", "width", "height")),
+    "clean --config": _jsonl_input(
+        ("status_patterns", "enabled_rules", "foreign_threshold"), indent=1),
+    "normalize --abbrev": _fuzz_input(),
+    "reduced-bleu --stoplist": _fuzz_input(),
+    "stats --compare": _jsonl_input(_CORPUS_FIELDS),
+    "normalize --in": _fuzz_input(),
+    "select --ref": _fuzz_input(),
+}
+# Errors about a whole file, not one of its lines. Malformed JSON in a
+# config names its line once the file holds a "\n".
+_FILE_ERRORS = (r"duplicate id .* \(lines \d+ and \d+\)|reference corpus is "
+                r"empty|duration_s values sum past|the change in hours")
+_CONFIG_ERRORS = (r"field '|JSON nested too deeply|expected a JSON object|"
+                  r"'.*' is not a valid RuleName")
 
 
-@pytest.mark.parametrize("command", ["clean", "stats", "plan"])
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_jsonl_fuzz_exits_0_or_names_the_file_and_line(tmp_path_factory,
-                                                        command, data):
-    workdir = tmp_path_factory.mktemp(f"{command}-fuzz")
-    inp, out, report = (workdir / "in.jsonl", workdir / "out.jsonl",
-                        workdir / "report.jsonl")
-    inp.write_bytes(data.draw(_jsonl_input(_FIELDS[command])))
-    argv = {"clean": ["clean", "--in", str(inp), "--out", str(out),
-                      "--report", str(report)],
-            "stats": ["stats", "--in", str(inp), "--json"],
-            "plan": ["plan", "--manifest", str(inp), "--out", str(out)]}
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(argv[command])
-    assert code in (0, 2)
-    if code == 2:
-        message = err.getvalue()
-        assert message.startswith(f"error: {inp}: ")
-        if "not valid UTF-8" not in message:
-            assert re.match(rf"error: {re.escape(str(inp))}: "
-                            r"(line \d+: |duplicate id .* \(lines \d+ and "
-                            r"\d+\))", message)
-        assert not out.exists() and not report.exists()
-    elif command == "clean":
-        load_corpus(out)
-        assert len(load_segments(report)) == len(load_corpus(inp))
-    elif command == "plan":
-        assert all("id" in json.loads(line) for line in load_segments(out))
+@pytest.mark.parametrize("command", list(_INPUTS))
+def test_jsonl_fuzz_exits_0_or_names_the_file_and_line(tmp_path, command):
+    """Every reader fed hostile bytes exits 0, or 2 with an error that
+    names the file and, for an error about a line, the line."""
+    @settings(max_examples=200 if command in ("clean", "stats", "plan")
+              else 100, deadline=None)
+    @given(data=_INPUTS[command], other=_INPUTS["stats"]
+           if command == "stats --compare" else st.none())
+    def run(data, other):
+        inp, out, report = (tmp_path / "in.jsonl", tmp_path / "out.jsonl",
+                            tmp_path / "report.jsonl")
+        out.unlink(missing_ok=True)
+        report.unlink(missing_ok=True)
+        inp.write_bytes(data)
+        corpus, segs = tmp_path / "c.jsonl", tmp_path / "s.txt"
+        corpus.write_bytes(other or b'{"id":"a","text":"A. hallo"}\n')
+        segs.write_text("der hund bellt\n", encoding="utf-8")
+        argv = {"clean": ["clean", "--in", inp, "--out", out,
+                          "--report", report],
+                "stats": ["stats", "--in", inp, "--json"],
+                "plan": ["plan", "--manifest", inp, "--out", out],
+                "clean --config": ["clean", "--in", corpus, "--out", out,
+                                   "--config", inp],
+                "normalize --abbrev": ["normalize", "--in", segs, "--out",
+                                       out, "--abbrev", inp],
+                "reduced-bleu --stoplist": ["reduced-bleu", "--hyp", segs,
+                                            "--ref", segs, "--stoplist",
+                                            inp, "--json"],
+                "stats --compare": ["stats", "--in", corpus, "--compare",
+                                    inp, "--json"],
+                "normalize --in": ["normalize", "--in", inp, "--out", out],
+                "select --ref": ["select", "--ref", inp, "--hyp",
+                                 f"a={inp}", "--json"]}[command]
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(err):
+            code = main(list(map(str, argv)))
+        assert code in (0, 2)
+        if code == 2:
+            message = err.getvalue()
+            named = re.match(rf"error: ({re.escape(str(inp))}|"
+                             rf"{re.escape(str(corpus))}): ", message)
+            assert named
+            unplaced = _FILE_ERRORS if command != "clean --config" else \
+                _CONFIG_ERRORS if b"\n" in data else \
+                f"{_CONFIG_ERRORS}|malformed JSON"
+            assert re.match(rf"{re.escape(named.group())}"
+                            rf"(line \d+: |{unplaced})", message)
+            assert stdout.getvalue() == ""
+            assert not out.exists() and not report.exists()
+        elif command == "clean":
+            load_corpus(out)
+            assert len(load_segments(report)) == len(load_corpus(inp))
+        elif command == "plan":
+            assert all("id" in json.loads(line)
+                       for line in load_segments(out))
+        elif command.startswith("normalize"):
+            assert len(load_segments(out)) == len(
+                load_segments(inp if command == "normalize --in" else segs))
+        elif stdout.getvalue():  # a JSON document, Infinity and NaN refused
+            json.loads(stdout.getvalue(), parse_constant=_refuse)
+
+    run()
+
+
+def _refuse(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def test_stats_json(tmp_path, capsys):
@@ -366,7 +425,40 @@ def test_non_utf8_list_file_named(tmp_path, seg, capsys, monkeypatch,
         monkeypatch.setenv("SLT_STOPLIST", str(bad))
     assert main(argv[command]) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: {bad}: not valid UTF-8")
+        f"error: {bad}: line 2: not valid UTF-8")
+
+
+# Each error about one line of a list, table, segment or config file names
+# the file and the line.
+@pytest.mark.parametrize("command, content, message", [
+    ("stoplist", b"der\nfoo bar\n", "line 2: invalid stop word: 'foo bar'"),
+    ("abbrev", b"usw.\t\n",
+     "line 1: abbreviation keys and values must be nonempty"),
+    ("abbrev", b"z.B.\tzum Beispiel\nusw.\tund\tso weiter\n",
+     "line 2: expected two columns"),
+    ("normalize", b"x\ny\nab\xffc\n", "line 3: not valid UTF-8: "),
+    ("config", b'{\n "foreign_threshold": 0.5\n "x": 1\n}\n',
+     "line 3: malformed JSON: Expecting ',' delimiter\n"),
+], ids=["stoplist", "abbrev-empty", "abbrev-columns", "utf8", "config"])
+def test_line_error_names_file_and_line(tmp_path, seg, capsys, command,
+                                        content, message):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    hyp, out = seg("h.txt", ["der hund"]), tmp_path / "out"
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"id":"a","text":"hallo"}\n', encoding="utf-8")
+    argv = {"stoplist": ["reduced-bleu", "--hyp", hyp, "--ref", hyp,
+                         "--stoplist", str(bad)],
+            "abbrev": ["normalize", "--in", hyp, "--out", str(out),
+                       "--abbrev", str(bad)],
+            "normalize": ["normalize", "--in", str(bad), "--out", str(out)],
+            "config": ["clean", "--in", str(corpus), "--out", str(out),
+                       "--config", str(bad)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: {message}")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_plan_single_frames(capsys):
@@ -480,6 +572,44 @@ def test_stats_compare_json_exact(tmp_path, capsys):
         '{"field": "vocabulary", "raw": 5, "clean": 3, "delta": -2, "pct": '
         '-40.0, "increased": false}, {"field": "singletons", "raw": 4, '
         '"clean": 2, "delta": -2, "pct": -50.0, "increased": false}]}\n')
+
+
+_HUGE = ('{"id":"a","text":"x","duration_s":1e308}\n'
+         '{"id":"b","text":"y","duration_s":1e308}\n')
+_TINY = '{"id":"a","text":"x","duration_s":1e-300}\n'
+_BIG = '{"id":"a","text":"x","duration_s":1e300}\n'
+
+
+# Hours past the float range would print as Infinity, which is not JSON.
+@pytest.mark.parametrize("raw, clean, flags, message", [
+    (_HUGE, None, [], "{raw}: duration_s values sum past the float range"),
+    (_HUGE, None, ["--json"],
+     "{raw}: duration_s values sum past the float range"),
+    (_RAW, _HUGE, ["--json"],
+     "{clean}: duration_s values sum past the float range"),
+    (_HUGE, _RAW, [], "{raw}: duration_s values sum past the float range"),
+    (_TINY, _BIG, ["--json"],
+     "{clean}: the change in hours against {raw} is past the float range"),
+], ids=["table", "json", "compare-json", "compare-table", "compare-pct"])
+def test_stats_hours_past_float_range_is_data_error(tmp_path, capsys, raw,
+                                                     clean, flags, message):
+    paths = {"raw": tmp_path / "raw.jsonl", "clean": tmp_path / "clean.jsonl"}
+    paths["raw"].write_text(raw, encoding="utf-8")
+    argv = ["stats", "--in", str(paths["raw"]), *flags]
+    if clean is not None:
+        paths["clean"].write_text(clean, encoding="utf-8")
+        argv += ["--compare", str(paths["clean"])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(**paths)}\n"
+    assert captured.out == ""
+
+
+def test_empty_reference_file_is_named(seg, capsys):
+    hyp, ref = seg("h.txt", ["der hund"]), seg("r.txt", [" "])
+    assert main(["select", "--ref", ref, "--hyp", f"a={hyp}"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {ref}: reference corpus is empty\n"
 
 
 _GOOD_BLEU_FIELDS = ('"score": 63.289270782060825, "precisions": '

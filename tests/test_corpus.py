@@ -1,8 +1,11 @@
 """Tests for corpus and segment file I/O."""
 
+import ast
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.corpus import (
     Corpus,
@@ -153,3 +156,39 @@ def test_segments_roundtrip(tmp_path):
     path = tmp_path / "s.txt"
     write_segments(lines, path)
     assert list(load_segments(path)) == lines
+
+
+# Lines without "\n" that do not end in "\r"; a first line does not start
+# with the byte order mark that read_text drops.
+_SEGMENT_LINES = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\n"), max_size=12)
+    .filter(lambda line: not line.endswith("\r")), max_size=6
+).filter(lambda lines: not lines or not lines[0].startswith("\ufeff"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=_SEGMENT_LINES)
+def test_segments_roundtrip_property(tmp_path_factory, lines):
+    # A lone "\r" stays inside its line: only "\n" ends one.
+    path = tmp_path_factory.mktemp("segments") / "s.txt"
+    write_segments(lines, path)
+    assert list(load_segments(path)) == lines
+
+
+def test_input_decoding_lives_in_corpus():
+    """corpus decodes JSON input and says where in a file an error is; no
+    other module decodes JSON input or writes a line location."""
+    package = Path(__file__).resolve().parent.parent / "src" / "slt_toolkit"
+    found = []
+    for module in sorted(package.glob("*.py")):
+        if module.name == "corpus.py":
+            continue
+        source = module.read_text(encoding="utf-8")
+        if "json.loads" in source:
+            found.append(f"{module.name}: json.loads")
+        found += [f"{module.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.JoinedStr)
+                  and "line {" in ast.unparse(node)]
+    assert found == []

@@ -97,6 +97,10 @@ def test_record_equality_and_immutability(cls, fields, changed):
      "abbreviation keys and values must be nonempty"),
     (lambda: StopList(frozenset({"Der"})), ValueError,
      "invalid stop word: 'Der'"),
+    (lambda: StopList.from_lines(["a\tb"]), ValueError,
+     "invalid stop word: 'a\\tb'"),
+    (lambda: StopList.from_lines(["x y"]), ValueError,
+     "invalid stop word: 'x y'"),
     (lambda: PadSpec(bottom_frac=-0.1), ValueError,
      "padding fractions must be >= 0"),
     (lambda: PadSpec(target_h=0), ValueError,
@@ -116,7 +120,8 @@ def test_record_equality_and_immutability(cls, fields, changed):
     (lambda: WindowSpec()._replace(stride=0), ValueError,
      "stride must be in [1, window]"),
 ], ids=["utterance-id", "utterance-duration", "corpus-duplicate",
-        "profile-empty", "abbrev-empty", "stoplist-word", "pad-fraction",
+        "profile-empty", "abbrev-empty", "stoplist-word", "stoplist-tab",
+        "stoplist-space", "pad-fraction",
         "pad-target", "window", "stride", "utterance-replace",
         "profile-replace", "abbrev-replace", "pad-replace", "window-replace"])
 def test_record_validation_errors(build, error, message):
