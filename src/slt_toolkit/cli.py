@@ -47,6 +47,16 @@ def _references(path):
     return refs
 
 
+def _hypotheses(path, refs, ref_path):
+    """Hypothesis segments, one per reference segment; a count mismatch is
+    a data error that names both files."""
+    hyps = load_segments(path)
+    if len(hyps) != len(refs):
+        raise CorpusError(
+            f"{path}: {len(hyps)} segments vs {len(refs)} in {ref_path}")
+    return hyps
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps({"schema_version": SCHEMA_VERSION} | payload))
 
@@ -123,16 +133,16 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bleu(args) -> int:
     from . import metrics
-    hyps = load_segments(args.hyp)
     refs = _references(args.ref)
+    hyps = _hypotheses(args.hyp, refs, args.ref)
     _print_bleu(metrics.bleu(hyps, refs, args.smoothing), args.json)
     return 0
 
 
 def _cmd_reduced_bleu(args) -> int:
     from . import metrics
-    hyps = load_segments(args.hyp)
     refs = _references(args.ref)
+    hyps = _hypotheses(args.hyp, refs, args.ref)
     result = metrics.reduced_bleu(hyps, refs, _stoplist(args),
                                   args.smoothing, side=args.reduced_side)
     _print_bleu(result, args.json)
@@ -147,7 +157,7 @@ def _cmd_select(args) -> int:
         name, _, path = spec.partition("=")
         if not path:
             name, path = Path(spec).stem, spec
-        candidates.append((name, load_segments(path)))
+        candidates.append((name, _hypotheses(path, refs, args.ref)))
     report = metrics.select_checkpoint(candidates, refs, _stoplist(args),
                                        args.smoothing)
     if args.json:

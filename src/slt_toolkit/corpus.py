@@ -8,6 +8,7 @@ are UTF-8, accept LF or CRLF on read and emit LF on write.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from enum import Enum
 from functools import cache
@@ -133,14 +134,16 @@ def read_text(path: str | Path) -> str:
 
 
 def _split_lines(raw: str) -> tuple[str, ...]:
-    """Lines split on "\n" only, each without a trailing "\r"; a final
-    "\n" ends the last line and opens no empty one, while empty lines
+    """Lines split on "\n" only, each without the one "\r" of a CRLF; a
+    final "\n" ends the last line and opens no empty one, while empty lines
     inside survive as "". Text keeps U+2028, U+2029, U+0085, "\v" and
     "\f", where splitlines() would break lines."""
+    if "\r" in raw:  # replace() scans the whole text even for no match
+        raw = raw.replace("\r\n", "\n")
     lines = raw.split("\n")
     if lines[-1] == "":
         lines.pop()
-    return tuple(line.rstrip("\r") for line in lines)
+    return tuple(lines)
 
 
 @cache
@@ -165,16 +168,25 @@ def parse_lines(lines: Iterable[str], path: str | Path,
     return parsed
 
 
+# A \u escape in U+D800..U+DFFF, which most ASCII-escaped text lacks: a
+# lone surrogate decodes, but no UTF-8 encodes it.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def json_object(text: str) -> dict:
     """The JSON object ``text`` holds; errors carry no location, except the
     line of malformed JSON in a text of several lines (a whole file)."""
     try:
         obj = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         where = f"line {exc.lineno}: " if "\n" in text else ""
         raise CorpusError(f"{where}malformed JSON: {exc.msg}") from None
     except RecursionError:
         raise CorpusError("JSON nested too deeply") from None
+    except UnicodeEncodeError:
+        raise CorpusError("string is not valid Unicode") from None
     if not isinstance(obj, dict):
         raise CorpusError("expected a JSON object")
     return obj
@@ -253,6 +265,7 @@ def load_segments(path: str | Path) -> tuple[str, ...]:
 
 
 def write_segments(segments: Iterable[str], path: str | Path) -> None:
-    """One UTF-8 line per segment, ended by LF on every platform."""
-    Path(path).write_text("".join(line + "\n" for line in segments),
-                          encoding="utf-8", newline="")
+    """One UTF-8 line per segment, ended by LF on every platform. The text
+    is encoded before the file is opened: a failed write leaves no file."""
+    data = "".join(line + "\n" for line in segments).encode("utf-8")
+    Path(path).write_bytes(data)

@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from functools import cache
 from itertools import chain
+from operator import add
 from pathlib import Path
 from typing import Iterable, Literal, NamedTuple, Sequence
 
@@ -42,46 +43,23 @@ class BleuScore(NamedTuple):
         return self._asdict() | {"precisions": list(self.precisions)}
 
 
-def _grams(tokens: Sequence[str]) -> list[Iterable]:
-    """The n-grams of orders 1..NGRAM_ORDER, one iterable per order.
-    Unigrams are the tokens themselves and higher orders tuples, so no
-    n-gram of one order equals one of another."""
+def _grams(tokens: list[str]) -> list[list]:
+    """The n-grams of orders 1..NGRAM_ORDER, one list per order. Unigrams
+    are the token list itself and higher orders tuples, so no n-gram of one
+    order equals one of another."""
     # Written out for NGRAM_ORDER == 4: three tails, shared by the zips.
     t1, t2, t3 = tokens[1:], tokens[2:], tokens[3:]
-    return [tokens, zip(tokens, t1), zip(tokens, t1, t2),
-            zip(tokens, t1, t2, t3)]
-
-
-def _ngram_counts(tokens: Sequence[str]) -> Counter:
-    """Counts of the n-grams of orders 1..NGRAM_ORDER, keyed as by _grams."""
-    # _grams returns a list: star-unpacking a generator strands tuples on
-    # CPython's free lists.
-    return Counter(chain(*_grams(tokens)))
+    return [tokens, [*zip(tokens, t1)], [*zip(tokens, t1, t2)],
+            [*zip(tokens, t1, t2, t3)]]
 
 
 class _BleuStats:
-    """Sufficient statistics of corpus BLEU, summed over segments."""
-    def __init__(self) -> None:
-        self.matches, self.totals = [0] * NGRAM_ORDER, [0] * NGRAM_ORDER
-        self.hyp_len = self.ref_len = 0
-
-    def add(self, hyp_tokens: Sequence[str], ref_counts: Counter,
-            ref_len: int) -> None:
-        length = len(hyp_tokens)
-        self.hyp_len += length
-        self.ref_len += ref_len
-        for n in range(min(length, NGRAM_ORDER)):
-            self.totals[n] += length - n
-        # Clip only the hypothesis n-grams the reference holds. Distinct hits
-        # each occur once against a reference count >= 1, so each clips to 1.
-        for n, grams in enumerate(_grams(hyp_tokens)):
-            hits = list(filter(ref_counts.__contains__, grams))
-            if len(set(hits)) == len(hits):
-                self.matches[n] += len(hits)
-            else:
-                for gram, count in Counter(hits).items():
-                    ref = ref_counts[gram]
-                    self.matches[n] += count if count < ref else ref
+    """Sufficient statistics of corpus BLEU, summed over segments: clipped
+    matches and n-gram totals per order; the unigram total is hyp_len."""
+    def __init__(self, matches: list[int], totals: list[int],
+                 ref_len: int) -> None:
+        self.matches, self.totals = matches, totals
+        self.hyp_len, self.ref_len = totals[0], ref_len
 
     def score(self, smoothing: Smoothing) -> BleuScore:
         matches, totals = self.matches, self.totals
@@ -124,7 +102,8 @@ def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
                 ) -> list[list[_BleuStats]]:
     """Statistics of each labelled hypothesis set under each view (the words
     deleted from hypothesis and reference), walking the references one segment
-    at a time. Only an empty unreduced reference side is an error."""
+    at a time and scoring every set against it in one step. Only an empty
+    unreduced reference side is an error."""
     ref_lines = list(refs)
     hyp_sets = [list(hyps) for _, hyps in labelled]
     for (label, _), hyp_lines in zip(labelled, hyp_sets):
@@ -133,16 +112,36 @@ def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
                                f"segments vs {len(ref_lines)} references")
     if not any(line.split() for line in ref_lines):
         raise ScoringError("reference corpus is empty")
-    stats = [[_BleuStats() for _ in hyp_sets] for _ in views]
+    # Per view: NGRAM_ORDER matches and totals per set, and the ref length.
+    width = NGRAM_ORDER * len(hyp_sets)
+    sums = [[[0] * width, [0] * width, 0] for _ in views]
     for ref_line, *hyp_lines in zip(ref_lines, *hyp_sets):
         ref_tokens = ref_line.split()
         hyp_tokens = [line.split() for line in hyp_lines]
-        for (hyp_words, ref_words), row in zip(views, stats):
+        for (hyp_words, ref_words), row in zip(views, sums):
             kept = _content(ref_tokens, ref_words)
-            ref_counts = _ngram_counts(kept)
-            for tokens, entry in zip(hyp_tokens, row):
-                entry.add(_content(tokens, hyp_words), ref_counts, len(kept))
-    return stats
+            ref_grams = [*chain(*_grams(kept))]
+            keys = set(ref_grams)
+            grams = [*chain.from_iterable(map(_grams, [
+                _content(tokens, hyp_words) for tokens in hyp_tokens]))]
+            # This segment's matches: each distinct hit clips to 1, and an
+            # n-gram the reference holds r > 1 times adds min(c, r) - 1 for
+            # a hypothesis that holds it c > 1 times.
+            hits = [*map(len, map(keys.intersection, grams))]
+            if len(keys) < len(ref_grams):
+                for gram, ref in Counter(ref_grams).items():
+                    if ref > 1:
+                        order = 0 if gram.__class__ is str else len(gram) - 1
+                        for i in range(order, width, NGRAM_ORDER):
+                            count = grams[i].count(gram)
+                            if count > 1:
+                                hits[i] += (count if count < ref else ref) - 1
+            row[0] = [*map(add, row[0], hits)]
+            row[1] = [*map(add, row[1], map(len, grams))]
+            row[2] += len(kept)
+    return [[_BleuStats(matches[i:i + NGRAM_ORDER], totals[i:i + NGRAM_ORDER],
+                        ref_len) for i in range(0, width, NGRAM_ORDER)]
+            for matches, totals, ref_len in sums]
 
 
 def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuScore:

@@ -50,6 +50,35 @@ def test_bleu_mismatch_is_data_error(seg, capsys):
     assert "2" in err and "1" in err
 
 
+@pytest.mark.parametrize("command", ["bleu", "reduced-bleu", "select"])
+def test_segment_count_mismatch_names_both_files(seg, capsys, command):
+    hyp, ref = seg("h.txt", ["a"]), seg("r.txt", ["a", "b"])
+    hyp_arg = f"a={hyp}" if command == "select" else hyp
+    assert main([command, "--hyp", hyp_arg, "--ref", ref]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {hyp}: 1 segments vs 2 in {ref}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["clean", "--in", "{inp}", "--out", "{out}"],
+    ["stats", "--in", "{inp}"],
+    ["plan", "--manifest", "{inp}", "--out", "{out}"],
+])
+def test_lone_surrogate_is_a_data_error_naming_the_line(tmp_path, capsys,
+                                                        argv):
+    inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    inp.write_text('{"id":"a","text":"b","frame_count":1}\n'
+                   '{"id":"\\ud800","text":"\\ud800","frame_count":1}\n',
+                   encoding="utf-8")
+    code = main([arg.format(inp=inp, out=out) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == \
+        f"error: {inp}: line 2: string is not valid Unicode\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bleu", "--hyp", "only.txt"])
@@ -290,11 +319,15 @@ _INPUTS = {
     "stats --compare": _jsonl_input(_CORPUS_FIELDS),
     "normalize --in": _fuzz_input(),
     "select --ref": _fuzz_input(),
+    "bleu --hyp": _fuzz_input(),
+    "reduced-bleu --hyp": _fuzz_input(),
+    "select --hyp": _fuzz_input(),
 }
 # Errors about a whole file, not one of its lines. Malformed JSON in a
 # config names its line once the file holds a "\n".
 _FILE_ERRORS = (r"duplicate id .* \(lines \d+ and \d+\)|reference corpus is "
-                r"empty|duration_s values sum past|the change in hours")
+                r"empty|duration_s values sum past|the change in hours|"
+                r"\d+ segments vs \d+ in ")
 _CONFIG_ERRORS = (r"field '|JSON nested too deeply|expected a JSON object|"
                   r"'.*' is not a valid RuleName")
 
@@ -331,6 +364,12 @@ def test_jsonl_fuzz_exits_0_or_names_the_file_and_line(tmp_path, command):
                                     inp, "--json"],
                 "normalize --in": ["normalize", "--in", inp, "--out", out],
                 "select --ref": ["select", "--ref", inp, "--hyp",
+                                 f"a={inp}", "--json"],
+                "bleu --hyp": ["bleu", "--hyp", inp, "--ref", segs,
+                               "--json"],
+                "reduced-bleu --hyp": ["reduced-bleu", "--hyp", inp, "--ref",
+                                       segs, "--json"],
+                "select --hyp": ["select", "--ref", segs, "--hyp",
                                  f"a={inp}", "--json"]}[command]
         stdout, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \

@@ -145,10 +145,29 @@ def test_load_segments_crlf(tmp_path):
     assert list(load_segments(path)) == ["a b", "c d"]
 
 
+@pytest.mark.parametrize("raw, lines", [
+    (b"a\r\r\nb\r\n", ["a\r", "b"]),  # one "\r" per CRLF is dropped
+    (b"a\r\nb\nc\r\n\r\nd\n", ["a", "b", "c", "", "d"]),
+    (b"a\rb\r\nc\r d\n", ["a\rb", "c\r d"]),
+    (b"a\nb\r", ["a", "b\r"]),  # no "\n" after the last "\r"
+])
+def test_load_segments_drops_only_the_cr_of_a_crlf(tmp_path, raw, lines):
+    path = tmp_path / "s.txt"
+    path.write_bytes(raw)
+    assert list(load_segments(path)) == lines
+
+
 def test_load_segments_drops_one_leading_bom(tmp_path):
     path = tmp_path / "s.txt"
     path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\n\xef\xbb\xbfb\n")
     assert list(load_segments(path)) == ["\ufeffa", "\ufeffb"]
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    path = tmp_path / "s.txt"
+    with pytest.raises(UnicodeEncodeError):
+        write_segments(["a", "\ud800"], path)
+    assert not path.exists()
 
 
 def test_segments_roundtrip(tmp_path):

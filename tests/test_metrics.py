@@ -16,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 from slt_toolkit.metrics import (
     ScoringError,
     StopList,
-    _BleuStats,
-    _ngram_counts,
+    _accumulate,
     bleu,
     count_stopwords,
     default_stoplist,
@@ -349,11 +348,17 @@ def _loop_stats(pairs):
     return matches, totals, hyp_len, ref_len
 
 
-def _summed_stats(pairs):
-    stats = _BleuStats()
-    for hyp, ref in pairs:
-        stats.add(hyp, _ngram_counts(ref), len(ref))
+def _stats_tuple(stats):
     return stats.matches, stats.totals, stats.hyp_len, stats.ref_len
+
+
+def _summed_stats(pairs):
+    """_accumulate's statistics of one hypothesis set given as token lists,
+    unreduced."""
+    [[stats]] = _accumulate([("c", [" ".join(hyp) for hyp, _ in pairs])],
+                            [" ".join(ref) for _, ref in pairs],
+                            [(frozenset(), frozenset())])
+    return _stats_tuple(stats)
 
 
 def test_bleu_stats_clip_repeated_hits_by_hand():
@@ -363,6 +368,22 @@ def test_bleu_stats_clip_repeated_hits_by_hand():
     pairs = [("a b a b a b".split(), "a b a b".split())]
     assert _summed_stats(pairs) == ([4, 3, 2, 1], [6, 5, 4, 3], 6, 4)
     assert _loop_stats(pairs) == _summed_stats(pairs)
+
+
+def test_candidates_scored_at_once_clip_by_hand():
+    # Against "a b a b" (a x2, b x2, "a b" x2, the rest once):
+    # "a a a": a x3 clips to 2, "a a" and "a a a" miss;
+    # "b a b": b x2 and a x1 match 3, "b a" and "a b" 2, "b a b" 1.
+    hyps = ["a b a b a b", "a a a", "b a b"]
+    [row] = _accumulate([(h, [h]) for h in hyps], ["a b a b"],
+                        [(frozenset(), frozenset())])
+    assert [_stats_tuple(stats) for stats in row] == [
+        ([4, 3, 2, 1], [6, 5, 4, 3], 6, 4),
+        ([2, 0, 0, 0], [3, 2, 1, 0], 3, 4),
+        ([3, 2, 1, 0], [3, 2, 1, 0], 3, 4)]
+    for hyp, stats in zip(hyps, row):
+        assert _stats_tuple(stats) == \
+            _loop_stats([(hyp.split(), "a b a b".split())])
 
 
 _WIDE_VOCAB = [f"w{i}" for i in range(200)]
@@ -394,3 +415,38 @@ def _stats_pairs(draw):
 @given(_stats_pairs())
 def test_bleu_stats_equal_per_gram_loop(pairs):
     assert _summed_stats(pairs) == _loop_stats(pairs)
+
+
+@st.composite
+def _hypothesis_sets(draw):
+    """References and one to five hypothesis sets over a few words of the
+    8-word vocabulary, so that n-grams repeat at every order."""
+    words = st.sampled_from(draw(st.lists(st.sampled_from(_VOCAB),
+                                          min_size=1, max_size=4)))
+    n = draw(st.integers(1, 4))
+    refs = [draw(st.lists(words, min_size=1, max_size=9)) for _ in range(n)]
+    hyp_sets = [[draw(st.lists(words, max_size=9)) for _ in range(n)]
+                for _ in range(draw(st.integers(1, 5)))]
+    return refs, hyp_sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hypothesis_sets())
+def test_accumulate_scores_each_candidate_as_its_own_loop(inputs):
+    refs, hyp_sets = inputs
+    stops = default_stoplist().words
+    views = [(frozenset(), frozenset()), (stops, stops)]
+    stats = _accumulate(
+        [(f"c{i}", [" ".join(hyp) for hyp in hyps])
+         for i, hyps in enumerate(hyp_sets)],
+        [" ".join(ref) for ref in refs], views)
+
+    def strip(tokens, words):
+        return [t for t in tokens if t.lower() not in words]
+
+    for (hyp_words, ref_words), row in zip(views, stats):
+        assert len(row) == len(hyp_sets)
+        for hyps, entry in zip(hyp_sets, row):
+            pairs = [(strip(hyp, hyp_words), strip(ref, ref_words))
+                     for hyp, ref in zip(hyps, refs)]
+            assert _stats_tuple(entry) == _loop_stats(pairs)

@@ -120,6 +120,21 @@ def test_bundled_data_does_not_import_importlib_resources():
     assert out.stdout.split() == ["False"]
 
 
+@pytest.mark.parametrize("flags", [[], ["-S"]])
+def test_metrics_adds_only_math_to_corpus(flags):
+    # Every set-up probe compiles metrics.py: what it imports is paid on
+    # every workload.
+    code = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n" \
+        "import slt_toolkit.corpus\nbefore = set(sys.modules)\n" \
+        "import slt_toolkit.metrics\n" \
+        "print(*sorted(set(sys.modules) - before))"
+    out = subprocess.run([sys.executable, *flags, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60)
+    added = set(out.stdout.split())
+    assert "slt_toolkit.metrics" in added
+    assert added <= {"slt_toolkit.metrics", "math"}
+
+
 def test_exports_resolve_to_submodule_objects():
     names = sorted(n for names in EXPORTS.values() for n in names)
     assert slt_toolkit.__all__ == names
