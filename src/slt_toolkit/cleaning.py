@@ -17,9 +17,10 @@ from enum import Enum
 from functools import cache
 from itertools import filterfalse
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .corpus import Checked, Corpus, Utterance, bundled_lines, json_field, \
+from .corpus import Corpus, Utterance, bundled_lines, json_field, \
     json_object, jsonl_line, read_text, write_segments
 
 
@@ -54,36 +55,20 @@ class Language(Enum):
     __hash__ = object.__hash__
 
 
-class _LanguageProfileFields(NamedTuple):
-    language: Language
-    function_words: frozenset[str]
-
-
-class LanguageProfile(Checked, _LanguageProfileFields):
-    """A language's function words; the set is nonempty."""
-    __slots__ = ()
-
-    def __new__(cls, language: Language,
-                function_words: frozenset[str]) -> "LanguageProfile":
-        if not function_words:
-            raise ValueError(f"empty function-word set for {language}")
-        return tuple.__new__(cls, (language, function_words))
-
-
 def _load_wordlist(name: str) -> frozenset[str]:
     words = (w.strip().lower() for w in bundled_lines(name))
     return frozenset(w for w in words if w)
 
 
 @cache
-def default_profiles() -> tuple[LanguageProfile, ...]:
-    """The bundled profiles, built once per process and shared by all
-    callers."""
-    return (
-        LanguageProfile(Language.DE, _load_wordlist("stopwords_de.txt")),
-        LanguageProfile(Language.FR, _load_wordlist("function_words_fr.txt")),
-        LanguageProfile(Language.EN, _load_wordlist("function_words_en.txt")),
-    )
+def default_profiles() -> Mapping[Language, frozenset[str]]:
+    """Each language's bundled function words, in the order DE, FR, EN;
+    built once per process and shared, read-only, by all callers."""
+    return MappingProxyType({
+        Language.DE: _load_wordlist("stopwords_de.txt"),
+        Language.FR: _load_wordlist("function_words_fr.txt"),
+        Language.EN: _load_wordlist("function_words_en.txt"),
+    })
 
 
 # The three agency boilerplate literals known to occur in the data.
@@ -103,8 +88,8 @@ _CUE_RUN_RE = re.compile(r"(?:[ \t]*\*[^*]*\*)+[ \t]*")
 _TOKEN_EDGE_RE = re.compile(r"^\W+|\W+$")
 
 
-def detect_language(text: str,
-                    profiles: Sequence[LanguageProfile]) -> tuple[Language, dict[Language, float]]:
+def detect_language(text: str, profiles: Mapping[Language, frozenset[str]]
+                    ) -> tuple[Language, dict[Language, float]]:
     """Score = fraction of whitespace tokens found in each profile's word set.
 
     A token is found if it is in the set as written or with its leading and
@@ -118,15 +103,14 @@ def detect_language(text: str,
     edged = [(t, _TOKEN_EDGE_RE.sub("", t))
              for t in filterfalse(str.isalnum, tokens)]
     scores: dict[Language, float] = {}
-    for profile in profiles:
+    for lang, words in profiles.items():
         if tokens:
-            words = profile.function_words
             hits = sum(map(words.__contains__, tokens))
             hits += sum(1 for raw, bare in edged
                         if bare in words and raw not in words)
-            scores[profile.language] = hits / len(tokens)
+            scores[lang] = hits / len(tokens)
         else:
-            scores[profile.language] = 0.0
+            scores[lang] = 0.0
     best = Language.DE
     best_score = scores.get(Language.DE, 0.0)
     for lang, score in scores.items():
@@ -170,10 +154,14 @@ class CleanConfig(NamedTuple):
     @staticmethod
     def from_json(path: str | Path) -> "CleanConfig":
         """Errors in the file's content name the file, and malformed JSON
-        over several lines the line."""
+        over several lines the line; a field not read here is an error."""
         text = read_text(path)
         try:
             obj = json_object(text)
+            for name in obj:
+                if name not in ("status_patterns", "foreign_threshold",
+                                "enabled_rules"):
+                    raise ValueError(f"unknown field '{name}'")
             rules = json_field(obj, "enabled_rules", list, None)
             enabled = frozenset(RuleName) if rules is None \
                 else frozenset(map(RuleName, rules))
@@ -187,7 +175,7 @@ class CleanConfig(NamedTuple):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _clean_one(utt: Utterance, profiles: Sequence[LanguageProfile],
+def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
                cfg: CleanConfig) -> CleanOutcome:
     text = utt.text
     hits: list[tuple[RuleName, str]] = []
@@ -222,7 +210,7 @@ def _clean_one(utt: Utterance, profiles: Sequence[LanguageProfile],
 
 
 def clean_corpus(corpus: Corpus,
-                 profiles: Sequence[LanguageProfile] | None = None,
+                 profiles: Mapping[Language, frozenset[str]] | None = None,
                  cfg: CleanConfig = CleanConfig()) -> tuple[Corpus, list[CleanOutcome]]:
     """Apply the rules of ``cfg.enabled`` per utterance; survivors keep
     their input order."""

@@ -251,9 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_itn)
 
     p = sub.add_parser("plan", help="feature-window plans for frame counts")
-    p.add_argument("--manifest", help="JSONL of id/frame_count/width/height")
-    p.add_argument("--out", dest="output")
-    p.add_argument("--frames", type=int, help="plan a single frame count")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--manifest",
+                        help="JSONL of id/frame_count/width/height")
+    source.add_argument("--frames", type=int, help="plan a single frame count")
+    p.add_argument("--out", dest="output", help="plan lines of a --manifest")
     p.add_argument("--window", type=int, default=64)
     p.add_argument("--stride", type=int, default=8)
     p.set_defaults(func=_cmd_plan)
@@ -264,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "plan" and args.frames is None and not args.manifest:
-        parser.error("plan requires --manifest or --frames")
+    if args.command == "plan" and None not in (args.frames, args.output):
+        parser.error("argument --out: not allowed with argument --frames")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # CorpusError, ScoringError

@@ -1,9 +1,10 @@
 """Deterministic geometry for the two feature-extraction front ends.
 
 Full-body windows: 64 frames with stride 8 over 224x224 input after gray
-padding (20% left/right, 7.5% top/bottom). Mouth features: one 768-dim
-vector per frame over 96x96 crops. No pixels are touched here; the plans
-are emitted as data for downstream extractors.
+padding (20% left/right, 7.5% top/bottom). Mouth features are one 768-dim
+vector per frame over 96x96 crops, so a mouth sequence is as long as its
+clip and needs no plan. No pixels are touched here; the plans are emitted
+as data for downstream extractors.
 """
 
 from __future__ import annotations
@@ -20,30 +21,11 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-class _PadSpecFields(NamedTuple):
-    left_frac: float
-    right_frac: float
-    top_frac: float
-    bottom_frac: float
-    target_w: int
-    target_h: int
-
-
-class PadSpec(Checked, _PadSpecFields):
-    """Gray padding as fractions of the frame, then scaling to the target
-    box; fractions are >= 0 and target dimensions positive."""
-    __slots__ = ()
-
-    def __new__(cls, left_frac: float = 0.20, right_frac: float = 0.20,
-                top_frac: float = 0.075, bottom_frac: float = 0.075,
-                target_w: int = 224, target_h: int = 224) -> "PadSpec":
-        for frac in (left_frac, right_frac, top_frac, bottom_frac):
-            if frac < 0:
-                raise ValueError("padding fractions must be >= 0")
-        if target_w <= 0 or target_h <= 0:
-            raise ValueError("target dimensions must be positive")
-        return tuple.__new__(cls, (left_frac, right_frac, top_frac,
-                                   bottom_frac, target_w, target_h))
+# Gray padding as factors of the frame: 20% left and right, 7.5% top and
+# bottom; the padded frame is then scaled to the square target box.
+_PAD_X = 1.0 + 0.20 + 0.20
+_PAD_Y = 1.0 + 0.075 + 0.075
+_TARGET = 224
 
 
 class _WindowSpecFields(NamedTuple):
@@ -82,32 +64,21 @@ class WindowPlan(NamedTuple):
         return self._asdict() | {"window_starts": list(self.window_starts)}
 
 
-class MouthPlan(NamedTuple):
-    sequence_len: int
-    crop_w: int = 96
-    crop_h: int = 96
-    feature_dim: int = 768
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-
-def plan_padding(w: int, h: int,
-                 spec: PadSpec = PadSpec()) -> tuple[int, int, float, float]:
+def plan_padding(w: int, h: int) -> tuple[int, int, float, float]:
     """Padded dimensions and the scale mapping them to the target box."""
     if w <= 0 or h <= 0:
         raise ValueError("frame dimensions must be positive")
     try:
-        padded_w = _round_half_away(w * (1.0 + spec.left_frac + spec.right_frac))
-        padded_h = _round_half_away(h * (1.0 + spec.top_frac + spec.bottom_frac))
+        padded_w = _round_half_away(w * _PAD_X)
+        padded_h = _round_half_away(h * _PAD_Y)
     except OverflowError:  # padded beyond the float range
         raise ValueError("frame dimensions are too large") from None
-    return padded_w, padded_h, spec.target_w / padded_w, spec.target_h / padded_h
+    return padded_w, padded_h, _TARGET / padded_w, _TARGET / padded_h
 
 
 def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
-                 width: int | None = None, height: int | None = None,
-                 pad: PadSpec = PadSpec()) -> WindowPlan:
+                 width: int | None = None, height: int | None = None
+                 ) -> WindowPlan:
     """Window start indices over a frame count.
 
     Clips shorter than one window get a single window with last-frame
@@ -120,9 +91,9 @@ def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
     if frame_count > MAX_FRAME_COUNT:
         raise ValueError(f"frame_count must be <= {MAX_FRAME_COUNT}")
     if width is not None and height is not None:
-        padded_w, padded_h, scale_x, scale_y = plan_padding(width, height, pad)
+        padded_w, padded_h, scale_x, scale_y = plan_padding(width, height)
     else:
-        padded_w, padded_h, scale_x, scale_y = pad.target_w, pad.target_h, 1.0, 1.0
+        padded_w, padded_h, scale_x, scale_y = _TARGET, _TARGET, 1.0, 1.0
     if frame_count == 0:
         starts: tuple[int, ...] = ()
         tail = 0
@@ -146,9 +117,3 @@ def plan_manifest(path: str | Path, spec: WindowSpec = WindowSpec()
                              json_field(obj, "width", int, None),
                              json_field(obj, "height", int, None)))
     return [plan for _, plan in parse_lines(load_segments(path), path, parse)]
-
-
-def plan_mouth(frame_count: int) -> MouthPlan:
-    if frame_count < 0:
-        raise ValueError("frame_count must be >= 0")
-    return MouthPlan(sequence_len=frame_count)

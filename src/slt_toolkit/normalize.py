@@ -22,18 +22,18 @@ from .corpus import Checked, bundled_lines, load_segments, parse_lines
 from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 
 
-# Priority: DATE, then a number: digits with optional thousands separators
-# (dot, thin/narrow space, or the Swiss apostrophe ' or ’), an INTEGER unless
-# a comma fraction follows and makes it a DECIMAL. m.lastgroup names the
-# kind, m.group() is the span. Both alternatives start with a digit, and
-# the leading lookahead says so: the search then skips other characters in
-# C instead of trying each alternative at every position.
-_NUMERIC_RE = re.compile(
-    r"(?=\d)(?:(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)"
-    r"|(?P<INTEGER>\d{1,3}(?:[.  '’]\d{3})+|\d+)(?P<DECIMAL>,\d+)?)"
-)
+# A thousands separator: dot, thin or narrow no-break space, or the Swiss
+# apostrophe ' or ’.
+_SEPARATORS_RE = re.compile("[.\u2009\u202f'’]")
 
-_SEPARATORS_RE = re.compile(r"[.  '’]")
+# Priority: DATE, then a number: digits with optional thousands separators,
+# an INTEGER unless a comma fraction follows and makes it a DECIMAL.
+# m.lastgroup names the kind, m.group() is the span. Both alternatives start
+# with a digit, and the leading lookahead says so: the search then skips
+# other characters in C instead of trying each alternative at every position.
+_NUMERIC_RE = re.compile(
+    r"(?=\d)(?:(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)|(?P<INTEGER>\d{1,3}"
+    r"(?:" + _SEPARATORS_RE.pattern + r"\d{3})+|\d+)(?P<DECIMAL>,\d+)?)")
 
 
 class _AbbrevTableFields(NamedTuple):

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 import slt_toolkit
 from slt_toolkit.cleaning import Language, default_profiles
 from slt_toolkit.metrics import default_stoplist
@@ -19,13 +21,16 @@ def _words(name):
 
 
 def test_profiles_equal_the_word_lists():
-    profiles = {p.language: p.function_words for p in default_profiles()}
+    profiles = default_profiles()
+    assert list(profiles) == [Language.DE, Language.FR, Language.EN]
     assert profiles == {Language.DE: _words("stopwords_de.txt"),
                         Language.FR: _words("function_words_fr.txt"),
                         Language.EN: _words("function_words_en.txt")}
     # The DE profile holds the list as written: no apostrophe variants.
     assert "geht's" in profiles[Language.DE]
     assert "gehts" not in profiles[Language.DE]
+    with pytest.raises(TypeError):  # shared by all callers, so read-only
+        profiles[Language.DE] = frozenset()
 
 
 def test_stoplist_adds_apostrophe_variants():

@@ -5,7 +5,6 @@ import random
 from slt_toolkit.cleaning import (
     CleanConfig,
     Language,
-    LanguageProfile,
     RuleName,
     Verdict,
     clean_corpus,
@@ -118,7 +117,7 @@ def test_detect_language_punctuated_function_words():
     lang, _ = detect_language("Merci à vous.", profiles)
     assert lang is Language.FR
     # The raw form still counts: "d'" is listed as written, "d" is not.
-    assert "d" not in profiles[1].function_words
+    assert "d" not in profiles[Language.FR]
     lang, scores = detect_language("d' la, vie", profiles)
     assert lang is Language.FR
     assert abs(scores[Language.FR] - 2 / 3) < 1e-12
@@ -133,7 +132,7 @@ def test_foreign_sentence_dropped_conservatively():
 
 def test_de_only_tokens_detected_as_de():
     profiles = default_profiles()
-    de_words = sorted(profiles[0].function_words)[:20]
+    de_words = sorted(profiles[Language.DE])[:20]
     lang, _ = detect_language(" ".join(de_words), profiles)
     assert lang is Language.DE
 

@@ -91,6 +91,26 @@ def test_unknown_subcommand_exits_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    ([], "one of the arguments --manifest --frames is required"),
+    (["--frames", "80", "--manifest", "{missing}"],
+     "argument --manifest: not allowed with argument --frames"),
+    (["--frames", "80", "--out", "{out}"],
+     "argument --out: not allowed with argument --frames"),
+], ids=["neither", "frames-and-manifest", "frames-and-out"])
+def test_plan_flags_it_would_ignore_are_usage_errors(tmp_path, capsys, args,
+                                                     message):
+    out = tmp_path / "plans.jsonl"
+    argv = [arg.format(missing=tmp_path / "missing.jsonl", out=out)
+            for arg in args]
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", *argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: {message}\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_reduced_bleu_delegates(seg, capsys):
     hyp = seg("h.txt", ["der hund bellt laut sehr gut"])
     ref = seg("r.txt", ["die hund bellt laut sehr gut"])
@@ -328,7 +348,7 @@ _INPUTS = {
 _FILE_ERRORS = (r"duplicate id .* \(lines \d+ and \d+\)|reference corpus is "
                 r"empty|duration_s values sum past|the change in hours|"
                 r"\d+ segments vs \d+ in ")
-_CONFIG_ERRORS = (r"field '|JSON nested too deeply|expected a JSON object|"
+_CONFIG_ERRORS = (r"(unknown )?field '|JSON nested too deeply|expected a JSON object|"
                   r"'.*' is not a valid RuleName")
 
 
@@ -447,6 +467,19 @@ def test_clean_config_error_names_file(tmp_path, capsys, content):
     assert main(["clean", "--in", str(corpus), "--out",
                  str(tmp_path / "out.jsonl"), "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {config}: ")
+
+
+def test_clean_config_unknown_field_is_data_error(tmp_path, capsys):
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
+    corpus.write_text('{"id":"a","text":"#x"}\n{"id":"b","text":"hallo"}\n',
+                      encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text('{"enabled_rule": ["HASHTAG_START"]}', encoding="utf-8")
+    assert main(["clean", "--in", str(corpus), "--out", str(out),
+                 "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {config}: unknown field 'enabled_rule'\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["stoplist", "env", "abbrev"])

@@ -1,17 +1,17 @@
 """Tests for padding and window-plan geometry."""
 
+import math
+import random
 import re
+import sys
 
 import pytest
 
 from slt_toolkit.corpus import CorpusError
 from slt_toolkit.frameplan import (
     MAX_FRAME_COUNT,
-    MouthPlan,
-    PadSpec,
     WindowSpec,
     plan_manifest,
-    plan_mouth,
     plan_padding,
     plan_windows,
 )
@@ -24,17 +24,39 @@ def test_default_padding_arithmetic():
     assert scale_y == pytest.approx(224 / 1150)
 
 
-def test_zero_fraction_padding_is_identity():
-    spec = PadSpec(left_frac=0, right_frac=0, top_frac=0, bottom_frac=0)
-    padded_w, padded_h, scale_x, scale_y = plan_padding(320, 240, spec)
-    assert (padded_w, padded_h) == (320, 240)
-    assert scale_x == pytest.approx(224 / 320)
-    assert scale_y == pytest.approx(224 / 240)
+def _fraction_padding(w, h):
+    """The padding as the fractions 0.20 + 0.20 and 0.075 + 0.075 and the
+    224 box give it, rounded half away from zero; OverflowError past the
+    float range."""
+    padded_w = math.floor(w * (1.0 + 0.20 + 0.20) + 0.5)
+    padded_h = math.floor(h * (1.0 + 0.075 + 0.075) + 0.5)
+    return padded_w, padded_h, 224 / padded_w, 224 / padded_h
+
+
+def test_padding_matches_the_fraction_formula():
+    rng = random.Random(15)
+    sizes = [*range(1, 5001),
+             *(rng.randrange(1, 10 ** 12) for _ in range(2000)),
+             *(10 ** k + d for k in range(4, 310) for d in (-1, 1))]
+    # Both sides of the "too large" bound of each axis.
+    for factor in (1.4, 1.15):
+        edge = sys.float_info.max / factor
+        sizes += [int(math.nextafter(edge, 0)), int(edge),
+                  int(math.nextafter(edge, math.inf))]
+    for size in sizes:
+        for w, h in ((size, size), (size, 1), (1, size)):
+            try:
+                expected = _fraction_padding(w, h)
+            except OverflowError:
+                with pytest.raises(ValueError, match="too large"):
+                    plan_padding(w, h)
+            else:
+                assert plan_padding(w, h) == expected, (w, h)
 
 
 def test_matching_target_gives_unit_scale():
-    spec = PadSpec(left_frac=0, right_frac=0, top_frac=0, bottom_frac=0)
-    assert plan_padding(224, 224, spec) == (224, 224, 1.0, 1.0)
+    # 160 * 1.4 = 224; 195 * 1.15 = 224.25 -> 224
+    assert plan_padding(160, 195) == (224, 224, 1.0, 1.0)
 
 
 def test_padding_rounds_half_away_from_zero():
@@ -47,7 +69,7 @@ def test_invalid_dimensions():
     with pytest.raises(ValueError):
         plan_padding(0, 100)
     with pytest.raises(ValueError):
-        PadSpec(left_frac=-0.1)
+        plan_padding(100, -1)
 
 
 def test_dimensions_padded_beyond_float_range():
@@ -60,7 +82,8 @@ def test_dimensions_padded_beyond_float_range():
 def test_plan_manifest_plans_each_line(tmp_path):
     manifest = tmp_path / "m.jsonl"
     manifest.write_text('{"id":"a","frame_count":80,"width":10,"height":10}'
-                        '\n\n{"id":"b","frame_count":0}\n', encoding="utf-8")
+                        '\n\n{"id":"b","frame_count":0,"fps":25}\n',
+                        encoding="utf-8")
     spec = WindowSpec(window=32, stride=16)
     assert plan_manifest(manifest, spec) == [
         ("a", plan_windows(80, spec, width=10, height=10)),
@@ -153,12 +176,3 @@ def test_plan_carries_geometry_when_dims_given():
     assert (plan.padded_w, plan.padded_h) == (1400, 1150)
     assert plan.feature_dim == 1024
 
-
-def test_mouth_plan():
-    plan = plan_mouth(100)
-    assert plan == MouthPlan(sequence_len=100)
-    assert (plan.crop_w, plan.crop_h, plan.feature_dim) == (96, 96, 768)
-    assert plan_mouth(0).sequence_len == 0
-    assert plan_mouth(1).sequence_len == 1
-    with pytest.raises(ValueError):
-        plan_mouth(-5)

@@ -7,11 +7,11 @@ import re
 
 import pytest
 
-from slt_toolkit.cleaning import CleanConfig, CleanOutcome, Language, \
-    LanguageProfile, RuleName, Verdict
+from slt_toolkit.cleaning import CleanConfig, CleanOutcome, RuleName, \
+    Verdict
 from slt_toolkit.corpus import Corpus, CorpusError, DuplicateIdError, \
     Source, Utterance
-from slt_toolkit.frameplan import MouthPlan, PadSpec, WindowPlan, WindowSpec
+from slt_toolkit.frameplan import WindowPlan, WindowSpec
 from slt_toolkit.metrics import BleuScore, CandidateScores, \
     SelectionReport, StopList
 from slt_toolkit.normalize import AbbrevTable, NormConfig
@@ -29,9 +29,6 @@ RECORDS = [
     (CleanOutcome, dict(id="a", verdict=Verdict.EDITED,
                         hits=((RuleName.ASTERISK_SOUND, "*x*"),), text="y"),
      ("verdict", Verdict.KEPT)),
-    (LanguageProfile, dict(language=Language.DE,
-                           function_words=frozenset({"der"})),
-     ("function_words", frozenset({"die"}))),
     (CleanConfig, dict(status_patterns=("x",), foreign_threshold=0.5,
                        enabled=frozenset({RuleName.HASHTAG_START})),
      ("foreign_threshold", 0.3)),
@@ -55,15 +52,10 @@ RECORDS = [
      ("per_source", {})),
     (FieldDelta, dict(field="hours", raw=2.0, clean=1.5, delta=-0.5,
                       pct=-25.0, increased=False), ("pct", -24.0)),
-    (PadSpec, dict(left_frac=0.1, right_frac=0.2, top_frac=0.0,
-                   bottom_frac=0.05, target_w=96, target_h=112),
-     ("target_h", 96)),
     (WindowSpec, dict(window=16, stride=4), ("stride", 2)),
     (WindowPlan, dict(padded_w=300, padded_h=200, scale_x=0.5, scale_y=0.25,
                       window_starts=(0, 8), tail_padding=0, feature_dim=512),
      ("window_starts", (0,))),
-    (MouthPlan, dict(sequence_len=10, crop_w=64, crop_h=48, feature_dim=256),
-     ("crop_h", 64)),
 ]
 
 
@@ -91,8 +83,6 @@ def test_record_equality_and_immutability(cls, fields, changed):
      "duration_s must be >= 0, got -1.0"),
     (lambda: Corpus((Utterance("a", "x"), Utterance("a", "y"))),
      DuplicateIdError, "duplicate id 'a' (entries 1 and 2)"),
-    (lambda: LanguageProfile(Language.FR, frozenset()), ValueError,
-     "empty function-word set for Language.FR"),
     (lambda: AbbrevTable({"z.B.": ""}), ValueError,
      "abbreviation keys and values must be nonempty"),
     (lambda: StopList(frozenset({"Der"})), ValueError,
@@ -101,29 +91,19 @@ def test_record_equality_and_immutability(cls, fields, changed):
      "invalid stop word: 'a\\tb'"),
     (lambda: StopList.from_lines(["x y"]), ValueError,
      "invalid stop word: 'x y'"),
-    (lambda: PadSpec(bottom_frac=-0.1), ValueError,
-     "padding fractions must be >= 0"),
-    (lambda: PadSpec(target_h=0), ValueError,
-     "target dimensions must be positive"),
     (lambda: WindowSpec(window=0), ValueError, "window must be >= 1"),
     (lambda: WindowSpec(16, 17), ValueError, "stride must be in [1, window]"),
     # _replace builds through the same checks.
     (lambda: Utterance("a", "x")._replace(id=""), CorpusError,
      "utterance id must be nonempty"),
-    (lambda: LanguageProfile(Language.FR, frozenset({"le"}))._replace(
-        function_words=frozenset()), ValueError,
-     "empty function-word set for Language.FR"),
     (lambda: AbbrevTable({"z.B.": "zum Beispiel"})._replace(entries={"": "x"}),
      ValueError, "abbreviation keys and values must be nonempty"),
-    (lambda: PadSpec()._replace(target_w=-1), ValueError,
-     "target dimensions must be positive"),
     (lambda: WindowSpec()._replace(stride=0), ValueError,
      "stride must be in [1, window]"),
 ], ids=["utterance-id", "utterance-duration", "corpus-duplicate",
-        "profile-empty", "abbrev-empty", "stoplist-word", "stoplist-tab",
-        "stoplist-space", "pad-fraction",
-        "pad-target", "window", "stride", "utterance-replace",
-        "profile-replace", "abbrev-replace", "pad-replace", "window-replace"])
+        "abbrev-empty", "stoplist-word", "stoplist-tab", "stoplist-space",
+        "window", "stride", "utterance-replace", "abbrev-replace",
+        "window-replace"])
 def test_record_validation_errors(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()

@@ -23,8 +23,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 EXPORTS = {
     "corpus": ["Corpus", "Source", "Utterance", "load_corpus",
                "load_segments", "write_corpus", "write_segments"],
-    "cleaning": ["CleanConfig", "CleanOutcome", "LanguageProfile", "Verdict",
-                 "clean_corpus", "detect_language", "match_status_message"],
+    "cleaning": ["CleanConfig", "CleanOutcome", "Verdict", "clean_corpus",
+                 "detect_language", "match_status_message"],
     "normalize": ["AbbrevTable", "NormConfig", "normalize_text"],
     "numbers_de": ["parse_number_de", "spell_date_de", "spell_number_de"],
     "itn": ["contract_numbers_de", "restore_display"],
@@ -32,8 +32,7 @@ EXPORTS = {
                 "default_stoplist", "reduced_bleu", "remove_stopwords",
                 "select_checkpoint"],
     "stats": ["CorpusStats", "compare_stats", "vocab_stats"],
-    "frameplan": ["MouthPlan", "PadSpec", "WindowPlan", "WindowSpec",
-                  "plan_mouth", "plan_padding", "plan_windows"],
+    "frameplan": ["WindowPlan", "WindowSpec", "plan_padding", "plan_windows"],
 }
 
 _LOADED = """\
