@@ -18,9 +18,9 @@ from functools import cache
 from itertools import filterfalse
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import Corpus, Utterance, bundled_lines, json_field, \
+from .corpus import Utterance, bundled_lines, function_words, json_field, \
     json_object, jsonl_line, read_text, write_segments
 
 
@@ -55,19 +55,14 @@ class Language(Enum):
     __hash__ = object.__hash__
 
 
-def _load_wordlist(name: str) -> frozenset[str]:
-    words = (w.strip().lower() for w in bundled_lines(name))
-    return frozenset(w for w in words if w)
-
-
 @cache
 def default_profiles() -> Mapping[Language, frozenset[str]]:
     """Each language's bundled function words, in the order DE, FR, EN;
     built once per process and shared, read-only, by all callers."""
     return MappingProxyType({
-        Language.DE: _load_wordlist("stopwords_de.txt"),
-        Language.FR: _load_wordlist("function_words_fr.txt"),
-        Language.EN: _load_wordlist("function_words_en.txt"),
+        Language.DE: function_words(bundled_lines("stopwords_de.txt")),
+        Language.FR: function_words(bundled_lines("function_words_fr.txt")),
+        Language.EN: function_words(bundled_lines("function_words_en.txt")),
     })
 
 
@@ -209,11 +204,12 @@ def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
     return CleanOutcome(utt.id, verdict, tuple(hits), text=text)
 
 
-def clean_corpus(corpus: Corpus,
+def clean_corpus(corpus: Sequence[Utterance],
                  profiles: Mapping[Language, frozenset[str]] | None = None,
-                 cfg: CleanConfig = CleanConfig()) -> tuple[Corpus, list[CleanOutcome]]:
+                 cfg: CleanConfig = CleanConfig()
+                 ) -> tuple[tuple[Utterance, ...], list[CleanOutcome]]:
     """Apply the rules of ``cfg.enabled`` per utterance; survivors keep
-    their input order."""
+    their input order, and their ids stay unique."""
     if profiles is None:
         profiles = default_profiles()
     outcomes = [_clean_one(u, profiles, cfg) for u in corpus]
@@ -221,7 +217,7 @@ def clean_corpus(corpus: Corpus,
         u if o.verdict is Verdict.KEPT
         else Utterance(u.id, o.text, u.source, u.duration_s)
         for u, o in zip(corpus, outcomes) if o.verdict is not Verdict.DROPPED)
-    return Corpus(survivors), outcomes
+    return survivors, outcomes
 
 
 def write_clean_report(outcomes: list[CleanOutcome], path: str | Path) -> None:

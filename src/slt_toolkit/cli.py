@@ -30,11 +30,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _path(value: str) -> str:
+    """The argparse type of every path option: an empty path is a usage
+    error, not the current directory or an absent option."""
+    if not value:
+        raise argparse.ArgumentTypeError("empty path")
+    return value
+
+
 def _stoplist(args):
     from . import metrics
     path = getattr(args, "stoplist", None) or os.environ.get("SLT_STOPLIST")
     if path:
-        return metrics.StopList.from_file(path)
+        return metrics.read_stop_words(path)
     return metrics.default_stoplist()
 
 
@@ -187,7 +195,7 @@ def _cmd_plan(args) -> int:
         return 0
     lines = [jsonl_line({"id": id} | plan.to_dict())
              for id, plan in frameplan.plan_manifest(args.manifest, win)]
-    if args.output:
+    if args.output is not None:
         write_segments(lines, args.output)
     else:
         sys.stdout.writelines(line + "\n" for line in lines)
@@ -201,16 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("clean", help="filter noisy utterances from a corpus")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--report", help="write per-utterance outcomes as JSONL")
-    p.add_argument("--config", help="cleaning config JSON")
+    p.add_argument("--in", dest="input", type=_path, required=True)
+    p.add_argument("--out", dest="output", type=_path, required=True)
+    p.add_argument("--report", type=_path,
+                   help="write per-utterance outcomes as JSONL")
+    p.add_argument("--config", type=_path, help="cleaning config JSON")
     p.set_defaults(func=_cmd_clean)
 
     p = sub.add_parser("normalize", help="normalize segment text")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--abbrev", help="abbreviation table TSV")
+    p.add_argument("--in", dest="input", type=_path, required=True)
+    p.add_argument("--out", dest="output", type=_path, required=True)
+    p.add_argument("--abbrev", type=_path, help="abbreviation table TSV")
     p.add_argument("--no-abbrev", action="store_true")
     p.add_argument("--no-punct", action="store_true")
     p.add_argument("--no-lowercase", action="store_true")
@@ -219,43 +228,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("stats", help="vocabulary/singleton/hour statistics")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--compare", help="second corpus to diff against")
+    p.add_argument("--in", dest="input", type=_path, required=True)
+    p.add_argument("--compare", type=_path,
+                   help="second corpus to diff against")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stats)
 
     for name, func in (("bleu", _cmd_bleu), ("reduced-bleu", _cmd_reduced_bleu)):
         p = sub.add_parser(name, help=f"corpus-level {name} score")
-        p.add_argument("--hyp", required=True)
-        p.add_argument("--ref", required=True)
+        p.add_argument("--hyp", type=_path, required=True)
+        p.add_argument("--ref", type=_path, required=True)
         p.add_argument("--smoothing", choices=["none", "exp"], default="none")
         p.add_argument("--json", action="store_true")
         if name == "reduced-bleu":
-            p.add_argument("--stoplist")
+            p.add_argument("--stoplist", type=_path)
             p.add_argument("--reduced-side", choices=["both", "hyp"],
                            default="both")
         p.set_defaults(func=func)
 
     p = sub.add_parser("select", help="pick a checkpoint by reduced BLEU")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--hyp", action="append", required=True,
+    p.add_argument("--ref", type=_path, required=True)
+    p.add_argument("--hyp", type=_path, action="append", required=True,
                    metavar="NAME=PATH")
-    p.add_argument("--stoplist")
+    p.add_argument("--stoplist", type=_path)
     p.add_argument("--smoothing", choices=["none", "exp"], default="none")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("itn", help="restore display formatting")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
+    p.add_argument("--in", dest="input", type=_path, required=True)
+    p.add_argument("--out", dest="output", type=_path, required=True)
     p.set_defaults(func=_cmd_itn)
 
     p = sub.add_parser("plan", help="feature-window plans for frame counts")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--manifest",
+    source.add_argument("--manifest", type=_path,
                         help="JSONL of id/frame_count/width/height")
     source.add_argument("--frames", type=int, help="plan a single frame count")
-    p.add_argument("--out", dest="output", help="plan lines of a --manifest")
+    p.add_argument("--out", dest="output", type=_path,
+                   help="plan lines of a --manifest")
     p.add_argument("--window", type=int, default=64)
     p.add_argument("--stride", type=int, default=8)
     p.set_defaults(func=_cmd_plan)

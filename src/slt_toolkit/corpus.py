@@ -27,16 +27,6 @@ class CorpusError(ValueError):
     """Raised on malformed corpus or segment files."""
 
 
-class DuplicateIdError(CorpusError):
-    """Two utterances of one corpus share an id; ``first`` and ``second``
-    are their 0-based positions."""
-
-    def __init__(self, id: str, first: int, second: int) -> None:
-        super().__init__(
-            f"duplicate id '{id}' (entries {first + 1} and {second + 1})")
-        self.id, self.first, self.second = id, first, second
-
-
 class Checked:
     """Mixin, first base of a tuple record whose ``__new__`` validates:
     ``_make``, and so ``_replace``, build through ``__new__`` as well."""
@@ -65,58 +55,6 @@ class Utterance(Checked, _UtteranceFields):
         if duration_s is not None and duration_s < 0:
             raise CorpusError(f"duration_s must be >= 0, got {duration_s}")
         return tuple.__new__(cls, (id, text, source, duration_s))
-
-
-class FrozenSlots:
-    """Base of the immutable records that are not tuples: fields are
-    ``__slots__`` set once with ``object.__setattr__``; equality, hash and
-    repr go field by field."""
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field '{name}'")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # copy and pickle would restore slots by __setattr__.
-        return type(self), self._values()
-
-
-class Corpus(FrozenSlots):
-    """An immutable sequence of utterances with unique ids."""
-    __slots__ = ("utterances",)
-
-    def __init__(self, utterances: tuple[Utterance, ...] = ()) -> None:
-        seen: dict[str, int] = {}
-        for i, utt in enumerate(utterances):
-            if utt.id in seen:
-                raise DuplicateIdError(utt.id, seen[utt.id], i)
-            seen[utt.id] = i
-        object.__setattr__(self, "utterances", utterances)
-
-    def __len__(self) -> int:
-        return len(self.utterances)
-
-    def __iter__(self):
-        return iter(self.utterances)
 
 
 def read_text(path: str | Path) -> str:
@@ -151,6 +89,18 @@ def bundled_lines(name: str) -> tuple[str, ...]:
     """Lines of a data file shipped in ``slt_toolkit/data``, read once per
     process."""
     return _split_lines(read_text(Path(__file__).parent / "data" / name))
+
+
+def function_words(lines: Iterable[str]) -> frozenset[str]:
+    """The nonblank lines of a word list, stripped and lowercased; each
+    must be one ``str.split()`` token."""
+    words = set()
+    for line in lines:
+        if word := line.strip().lower():
+            if word.split() != [word]:
+                raise ValueError(f"invalid stop word: {word!r}")
+            words.add(word)
+    return frozenset(words)
 
 
 def parse_lines(lines: Iterable[str], path: str | Path,
@@ -233,23 +183,23 @@ def _utterance(line: str) -> Utterance:
     return Utterance(id, text, source, duration)
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Read a JSONL corpus; one object per line with at least id and text."""
+def load_corpus(path: str | Path) -> tuple[Utterance, ...]:
+    """Read a JSONL corpus; one object per line with at least id and text.
+    Ids are unique: a repeated id is an error that names both lines."""
     parsed = parse_lines(load_segments(path), path, _utterance)
-    try:
-        return Corpus(tuple(utt for _, utt in parsed))
-    except DuplicateIdError as exc:
-        raise CorpusError(
-            f"{path}: duplicate id '{exc.id}' "
-            f"(lines {parsed[exc.first][0]} and {parsed[exc.second][0]})"
-        ) from None
+    first_lines: dict[str, int] = {}
+    for lineno, utt in parsed:
+        if (first := first_lines.setdefault(utt.id, lineno)) != lineno:
+            raise CorpusError(f"{path}: duplicate id '{utt.id}' "
+                              f"(lines {first} and {lineno})")
+    return tuple(utt for _, utt in parsed)
 
 
 # One JSON Lines record; non-ASCII characters, U+2028 included, stay raw.
 jsonl_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
+def write_corpus(corpus: Iterable[Utterance], path: str | Path) -> None:
     lines = []
     for utt in corpus:
         obj: dict = {"id": utt.id, "text": utt.text, "source": utt.source.value}

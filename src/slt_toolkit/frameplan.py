@@ -58,6 +58,7 @@ class WindowPlan(NamedTuple):
     scale_y: float
     window_starts: tuple[int, ...]
     tail_padding: int
+    uncovered_frames: int  # trailing frames past the last full window
     feature_dim: int = FULL_BODY_FEATURE_DIM
 
     def to_dict(self) -> dict:
@@ -82,9 +83,10 @@ def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
     """Window start indices over a frame count.
 
     Clips shorter than one window get a single window with last-frame
-    repetition padding; empty clips get an empty plan. When width/height
-    are given, padding geometry is filled in; otherwise the plan carries
-    the target box with unit scale.
+    repetition padding; empty clips get an empty plan. Longer clips get
+    every full window, and the frames after the last one are counted as
+    uncovered. When width/height are given, padding geometry is filled
+    in; otherwise the plan carries the target box with unit scale.
     """
     if frame_count < 0:
         raise ValueError("frame_count must be >= 0")
@@ -94,16 +96,17 @@ def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
         padded_w, padded_h, scale_x, scale_y = plan_padding(width, height)
     else:
         padded_w, padded_h, scale_x, scale_y = _TARGET, _TARGET, 1.0, 1.0
+    tail = uncovered = 0
     if frame_count == 0:
         starts: tuple[int, ...] = ()
-        tail = 0
     elif frame_count < spec.window:
         starts = (0,)
         tail = spec.window - frame_count
     else:
         starts = tuple(range(0, frame_count - spec.window + 1, spec.stride))
-        tail = 0
-    return WindowPlan(padded_w, padded_h, scale_x, scale_y, starts, tail)
+        uncovered = frame_count - (starts[-1] + spec.window)
+    return WindowPlan(padded_w, padded_h, scale_x, scale_y, starts, tail,
+                      uncovered)
 
 
 def plan_manifest(path: str | Path, spec: WindowSpec = WindowSpec()

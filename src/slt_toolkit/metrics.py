@@ -20,7 +20,8 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from .corpus import FrozenSlots, bundled_lines, load_segments, parse_lines
+from .corpus import bundled_lines, function_words, load_segments, \
+    parse_lines
 
 NGRAM_ORDER = 4
 
@@ -149,60 +150,43 @@ def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuS
                        [(frozenset(), frozenset())])[0][0].score(smoothing)
 
 
-class StopList(FrozenSlots):
-    """Lowercase stop words, each a possible ``str.split()`` token."""
-    __slots__ = ("words",)
+def stop_words(lines: Iterable[str]) -> frozenset[str]:
+    """A stop list: the ``function_words`` of ``lines``, and the
+    apostrophe-stripped form of each ("geht's" -> "gehts") unless empty."""
+    words = function_words(lines)
+    return words | {bare for w in words if (bare := w.replace("'", ""))}
 
-    def __init__(self, words: frozenset[str]) -> None:
-        for word in words:
-            if word != word.lower() or word.split() != [word]:
-                raise ValueError(f"invalid stop word: {word!r}")
-        object.__setattr__(self, "words", words)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    @staticmethod
-    def from_lines(lines: Iterable[str]) -> "StopList":
-        """Lowercase and dedupe; apostrophized entries also contribute their
-        apostrophe-stripped form ("geht's" -> "gehts") unless it is empty."""
-        words = {word for line in lines if (word := line.strip().lower())}
-        return StopList(frozenset(
-            words | {bare for w in words if (bare := w.replace("'", ""))}))
-
-    @staticmethod
-    def from_file(path: str | Path) -> "StopList":
-        """Errors name the file and the line."""
-        lines = load_segments(path)
-        # Each line on its own first, so that an invalid word names its line.
-        parse_lines(lines, path, lambda line: StopList.from_lines((line,)))
-        return StopList.from_lines(lines)
+def read_stop_words(path: str | Path) -> frozenset[str]:
+    """The stop list of a file; errors name the file and the line."""
+    lines = load_segments(path)
+    # Each line on its own first, so that an invalid word names its line.
+    parse_lines(lines, path, lambda line: function_words((line,)))
+    return stop_words(lines)
 
 
 @cache
-def default_stoplist() -> StopList:
+def default_stoplist() -> frozenset[str]:
     """The bundled list, built once per process and shared by all callers."""
-    return StopList.from_lines(bundled_lines("stopwords_de.txt"))
+    return stop_words(bundled_lines("stopwords_de.txt"))
 
 
-def remove_stopwords(segment: str, stops: StopList) -> str:
-    return " ".join(_content(segment.split(), stops.words))
+def remove_stopwords(segment: str, stops: frozenset[str]) -> str:
+    return " ".join(_content(segment.split(), stops))
 
 
-def reduced_bleu(hyps: Segments, refs: Segments, stops: StopList,
+def reduced_bleu(hyps: Segments, refs: Segments, stops: frozenset[str],
                  smoothing: Smoothing = "none",
                  side: Literal["both", "hyp"] = "both") -> BleuScore:
-    view = (stops.words, stops.words if side == "both" else frozenset())
+    view = (stops, stops if side == "both" else frozenset())
     return _accumulate([("segment count mismatch", hyps)], refs,
                        [view])[0][0].score(smoothing)
 
 
-def count_stopwords(hyps: Segments, stops: StopList) -> tuple[int, float]:
+def count_stopwords(hyps: Segments, stops: frozenset[str]
+                    ) -> tuple[int, float]:
     tokens = [token for line in hyps for token in line.split()]
-    count = len(tokens) - len(_content(tokens, stops.words))
+    count = len(tokens) - len(_content(tokens, stops))
     return count, (count / len(tokens) if tokens else 0.0)
 
 
@@ -232,7 +216,7 @@ class SelectionReport(NamedTuple):
 
 
 def select_checkpoint(candidates: Sequence[tuple[str, Segments]],
-                      refs: Segments, stops: StopList,
+                      refs: Segments, stops: frozenset[str],
                       smoothing: Smoothing = "none") -> SelectionReport:
     """Rank candidates by reduced BLEU; ties break toward fewer stop words,
     then lexicographic name."""
@@ -245,7 +229,7 @@ def select_checkpoint(candidates: Sequence[tuple[str, Segments]],
         seen.add(name)
     full, reduced = _accumulate(
         [(f"candidate '{name}'", hyps) for name, hyps in candidates], refs,
-        [(frozenset(), frozenset()), (stops.words, stops.words)])
+        [(frozenset(), frozenset()), (stops, stops)])
     scored = []
     for (name, _), whole, kept in zip(candidates, full, reduced):
         count = whole.hyp_len - kept.hyp_len

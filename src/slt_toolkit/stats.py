@@ -9,9 +9,9 @@ in two sources separately is not a singleton overall.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Corpus, Source, Utterance
+from .corpus import Source, Utterance
 
 
 class SliceStats(NamedTuple):
@@ -46,7 +46,7 @@ def _slice_stats(utterances: Iterable[Utterance]) -> SliceStats:
                       vocabulary=len(freqs), singletons=singletons)
 
 
-def vocab_stats(corpus: Corpus) -> CorpusStats:
+def vocab_stats(corpus: Sequence[Utterance]) -> CorpusStats:
     per_source = {}
     for source in Source:
         members = [u for u in corpus if u.source is source]

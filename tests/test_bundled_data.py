@@ -35,7 +35,7 @@ def test_profiles_equal_the_word_lists():
 
 def test_stoplist_adds_apostrophe_variants():
     words = _words("stopwords_de.txt")
-    assert default_stoplist().words == \
+    assert default_stoplist() == \
         words | {w.replace("'", "") for w in words}
     assert "gehts" in default_stoplist()
 

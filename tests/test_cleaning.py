@@ -14,11 +14,11 @@ from slt_toolkit.cleaning import (
     strip_asterisk_spans,
     DEFAULT_STATUS_PATTERNS,
 )
-from slt_toolkit.corpus import Corpus, Utterance
+from slt_toolkit.corpus import Utterance
 
 
 def _corpus(texts):
-    return Corpus(tuple(Utterance(f"u{i}", t) for i, t in enumerate(texts)))
+    return tuple(Utterance(f"u{i}", t) for i, t in enumerate(texts))
 
 
 def test_status_message_dropped():
@@ -54,8 +54,8 @@ def test_embedded_sound_cue_edited():
     corpus = _corpus(["Guten Abend *Musik* liebe Zuschauer"])
     cleaned, outcomes = clean_corpus(corpus)
     assert outcomes[0].verdict is Verdict.EDITED
-    assert cleaned.utterances[0].text == "Guten Abend liebe Zuschauer"
-    assert "*" not in cleaned.utterances[0].text
+    assert cleaned[0].text == "Guten Abend liebe Zuschauer"
+    assert "*" not in cleaned[0].text
 
 
 def test_unpaired_asterisk_untouched():

@@ -111,6 +111,45 @@ def test_plan_flags_it_would_ignore_are_usage_errors(tmp_path, capsys, args,
     assert captured.out == "" and not out.exists()
 
 
+# Each subcommand with every path option set, to a file in tmp_path.
+_PATH_COMMANDS = [
+    ["clean", "--in", "c.jsonl", "--out", "out", "--report", "report",
+     "--config", "cfg.json"],
+    ["normalize", "--in", "s.txt", "--out", "out", "--abbrev", "abbrev.tsv"],
+    ["stats", "--in", "c.jsonl", "--compare", "c.jsonl"],
+    ["bleu", "--hyp", "s.txt", "--ref", "s.txt"],
+    ["reduced-bleu", "--hyp", "s.txt", "--ref", "s.txt",
+     "--stoplist", "stops.txt"],
+    ["select", "--ref", "s.txt", "--hyp", "s.txt", "--stoplist", "stops.txt"],
+    ["itn", "--in", "s.txt", "--out", "out"],
+    ["plan", "--manifest", "m.jsonl", "--out", "out"],
+]
+_EMPTY_PATHS = [(argv, i) for argv in _PATH_COMMANDS
+                for i in range(1, len(argv), 2)]
+
+
+@pytest.mark.parametrize("argv, blank", _EMPTY_PATHS, ids=[
+    f"{argv[0]} {argv[i]}" for argv, i in _EMPTY_PATHS])
+def test_empty_path_is_usage_error(tmp_path, capsys, argv, blank):
+    for name, text in [("c.jsonl", '{"id":"a","text":"x"}'),
+                       ("s.txt", "a b"), ("cfg.json", "{}"),
+                       ("abbrev.tsv", "z.B.\tzum Beispiel"),
+                       ("stops.txt", "der"),
+                       ("m.jsonl", '{"id":"a","frame_count":70}')]:
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+    args = [argv[0], *(arg if arg.startswith("-") else str(tmp_path / arg)
+                       for arg in argv[1:])]
+    args[blank + 1] = ""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        f"error: argument {argv[blank]}: empty path\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_reduced_bleu_delegates(seg, capsys):
     hyp = seg("h.txt", ["der hund bellt laut sehr gut"])
     ref = seg("r.txt", ["die hund bellt laut sehr gut"])
@@ -120,7 +159,7 @@ def test_reduced_bleu_delegates(seg, capsys):
     payload = json.loads(capsys.readouterr().out)
     expected = metrics.reduced_bleu(
         ["der hund bellt laut sehr gut"], ["die hund bellt laut sehr gut"],
-        metrics.StopList.from_lines(["der", "die"]))
+        metrics.stop_words(["der", "die"]))
     assert payload == {"schema_version": 1} | expected.to_dict()
 
 
@@ -567,7 +606,7 @@ def test_plan_manifest_keeps_non_ascii_ids_raw(tmp_path):
     assert out.read_bytes() == (
         '{"id": "Zürich-1", "padded_w": 224, "padded_h": 224, "scale_x": 1.0, '
         '"scale_y": 1.0, "window_starts": [], "tail_padding": 0, '
-        '"feature_dim": 1024}\n').encode("utf-8")
+        '"uncovered_frames": 0, "feature_dim": 1024}\n').encode("utf-8")
 
 
 def test_plan_manifest_keeps_unicode_line_separator(tmp_path, capsys):
@@ -723,7 +762,7 @@ def test_plan_frames_exact(capsys):
     assert capsys.readouterr().out == (
         '{"schema_version": 1, "padded_w": 224, "padded_h": 224, "scale_x": '
         '1.0, "scale_y": 1.0, "window_starts": [0, 8, 16, 24, 32], '
-        '"tail_padding": 0, "feature_dim": 1024}\n')
+        '"tail_padding": 0, "uncovered_frames": 4, "feature_dim": 1024}\n')
 
 
 @pytest.mark.parametrize("command", ["stats", "stats --compare", "select",

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.corpus import (
-    Corpus,
     CorpusError,
     Source,
     Utterance,
@@ -26,10 +25,10 @@ def test_load_corpus_basic(tmp_path):
                     encoding="utf-8")
     corpus = load_corpus(path)
     assert len(corpus) == 2
-    assert corpus.utterances[0].id == "a"
-    assert corpus.utterances[0].text == "hallo"
-    assert corpus.utterances[0].source is Source.OTHER
-    assert corpus.utterances[1].duration_s == 2.0
+    assert corpus[0].id == "a"
+    assert corpus[0].text == "hallo"
+    assert corpus[0].source is Source.OTHER
+    assert corpus[1].duration_s == 2.0
 
 
 def test_load_corpus_empty(tmp_path):
@@ -55,10 +54,31 @@ def test_load_corpus_duplicate_id_counts_blank_lines(tmp_path):
         load_corpus(path)
 
 
-def test_corpus_rejects_duplicate_id():
-    with pytest.raises(CorpusError, match=re.escape(
-            "duplicate id 'a' (entries 1 and 3)")):
-        Corpus((Utterance("a", "x"), Utterance("b", "y"), Utterance("a", "z")))
+@settings(max_examples=200, deadline=None)
+@given(layout=st.lists(st.sampled_from(["", " ", "\t", "a", "b", "c", "d",
+                                        "e", "f"]), max_size=12))
+def test_load_corpus_duplicate_names_first_repeat(tmp_path_factory, layout):
+    # Each letter is one utterance with that id; the rest are blank lines.
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    path.write_text("".join(
+        item + "\n" if not item.strip() else
+        f'{{"id":"{item}","text":"t"}}\n' for item in layout),
+        encoding="utf-8")
+    lines_of = {}
+    for lineno, item in enumerate(layout, start=1):
+        if item.strip():
+            lines_of.setdefault(item, []).append(lineno)
+    repeated = [lines for lines in lines_of.values() if len(lines) > 1]
+    if not repeated:
+        assert load_corpus(path) == tuple(
+            Utterance(item, "t") for item in layout if item.strip())
+        return
+    # The id whose second occurrence comes first, at its first two lines.
+    first, second = min(repeated, key=lambda lines: lines[1])[:2]
+    id = layout[first - 1]
+    with pytest.raises(CorpusError, match="^" + re.escape(
+            f"{path}: duplicate id '{id}' (lines {first} and {second})")):
+        load_corpus(path)
 
 
 def test_load_corpus_malformed_line_names_lineno(tmp_path):
@@ -78,14 +98,14 @@ def test_load_corpus_invalid_utf8(tmp_path):
 def test_load_corpus_unknown_fields_ignored(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id":"a","text":"x","extra":[1,2]}\n', encoding="utf-8")
-    assert load_corpus(path).utterances[0].text == "x"
+    assert load_corpus(path)[0].text == "x"
 
 
 def test_corpus_roundtrip(tmp_path):
-    corpus = Corpus((
+    corpus = (
         Utterance("a", "tab\there \"quoted\"", Source.SRF, 1.5),
         Utterance("b", "zweite zeile", Source.FN),
-    ))
+    )
     path = tmp_path / "out.jsonl"
     write_corpus(corpus, path)
     loaded = load_corpus(path)
@@ -96,8 +116,8 @@ def test_corpus_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
 def test_corpus_roundtrip_unicode_line_separators(tmp_path, sep):
-    corpus = Corpus((Utterance("a", f"vor{sep}nach", Source.SRF),
-                     Utterance("b", "zweite zeile")))
+    corpus = (Utterance("a", f"vor{sep}nach", Source.SRF),
+              Utterance("b", "zweite zeile"))
     path = tmp_path / "out.jsonl"
     write_corpus(corpus, path)
     assert [u.text for u in load_corpus(path)] == [f"vor{sep}nach",

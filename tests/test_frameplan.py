@@ -6,6 +6,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.corpus import CorpusError
 from slt_toolkit.frameplan import (
@@ -161,6 +162,19 @@ def test_starts_match_exhaustive_enumeration():
             # every window fits within the (possibly padded) clip
             for start in plan.window_starts:
                 assert start + 64 <= frames + plan.tail_padding
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=st.integers(0, 400), spec=st.integers(1, 80).flatmap(
+    lambda window: st.builds(WindowSpec, st.just(window),
+                             st.integers(1, window))))
+def test_each_frame_is_in_a_window_or_uncovered(frames, spec):
+    plan = plan_windows(frames, spec)
+    covered = {i for start in plan.window_starts
+               for i in range(start, min(start + spec.window, frames))}
+    uncovered = set(range(frames - plan.uncovered_frames, frames))
+    assert covered | uncovered == set(range(frames))
+    assert not covered & uncovered
 
 
 def test_window_count_monotone_in_frame_count():

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.metrics import (
     ScoringError,
-    StopList,
     _accumulate,
     bleu,
     count_stopwords,
@@ -163,7 +162,7 @@ def test_stoplist_integrity():
     assert "gehts" in stops  # apostrophe-stripped variant
     assert "hund" not in stops
     assert len(stops) == 133  # 132 unique raw entries + "gehts"
-    for word in stops.words:
+    for word in stops:
         assert word == word.lower()
         assert " " not in word
 
@@ -308,7 +307,7 @@ def test_select_scores_equal_standalone_and_oracle(inputs, smoothing):
 
     def strip(lines):
         return [" ".join(t for t in line.split() if t.lower() not in
-                         stops.words) for line in lines]
+                         stops) for line in lines]
 
     for (_, hyps), scores in zip(candidates, report.candidates):
         assert scores.bleu == bleu(hyps, refs, smoothing)
@@ -434,7 +433,7 @@ def _hypothesis_sets(draw):
 @given(_hypothesis_sets())
 def test_accumulate_scores_each_candidate_as_its_own_loop(inputs):
     refs, hyp_sets = inputs
-    stops = default_stoplist().words
+    stops = default_stoplist()
     views = [(frozenset(), frozenset()), (stops, stops)]
     stats = _accumulate(
         [(f"c{i}", [" ".join(hyp) for hyp in hyps])

@@ -9,11 +9,10 @@ import pytest
 
 from slt_toolkit.cleaning import CleanConfig, CleanOutcome, RuleName, \
     Verdict
-from slt_toolkit.corpus import Corpus, CorpusError, DuplicateIdError, \
-    Source, Utterance
+from slt_toolkit.corpus import CorpusError, Source, Utterance
 from slt_toolkit.frameplan import WindowPlan, WindowSpec
 from slt_toolkit.metrics import BleuScore, CandidateScores, \
-    SelectionReport, StopList
+    SelectionReport, stop_words
 from slt_toolkit.normalize import AbbrevTable, NormConfig
 from slt_toolkit.stats import CorpusStats, FieldDelta, SliceStats
 
@@ -25,7 +24,6 @@ _SLICE = SliceStats(1, 0.5, 2, 1)
 RECORDS = [
     (Utterance, dict(id="a", text="x", source=Source.SRF, duration_s=1.5),
      ("text", "y")),
-    (Corpus, dict(utterances=(Utterance("a", "x"),)), ("utterances", ())),
     (CleanOutcome, dict(id="a", verdict=Verdict.EDITED,
                         hits=((RuleName.ASTERISK_SOUND, "*x*"),), text="y"),
      ("verdict", Verdict.KEPT)),
@@ -40,8 +38,6 @@ RECORDS = [
     (BleuScore, dict(score=50.0, precisions=(0.5, 0.5, 0.5, 1.0),
                      brevity_penalty=1.0, hyp_len=4, ref_len=4),
      ("hyp_len", 5)),
-    (StopList, dict(words=frozenset({"der", "die"})),
-     ("words", frozenset({"der"}))),
     (CandidateScores, dict(name="a", bleu=_BLEU, reduced=_BLEU,
                            stopword_count=1, stopword_fraction=0.25),
      ("name", "b")),
@@ -54,7 +50,8 @@ RECORDS = [
                       pct=-25.0, increased=False), ("pct", -24.0)),
     (WindowSpec, dict(window=16, stride=4), ("stride", 2)),
     (WindowPlan, dict(padded_w=300, padded_h=200, scale_x=0.5, scale_y=0.25,
-                      window_starts=(0, 8), tail_padding=0, feature_dim=512),
+                      window_starts=(0, 8), tail_padding=0,
+                      uncovered_frames=3, feature_dim=512),
      ("window_starts", (0,))),
 ]
 
@@ -81,15 +78,11 @@ def test_record_equality_and_immutability(cls, fields, changed):
     (lambda: Utterance("", "x"), CorpusError, "utterance id must be nonempty"),
     (lambda: Utterance("a", "x", duration_s=-1.0), CorpusError,
      "duration_s must be >= 0, got -1.0"),
-    (lambda: Corpus((Utterance("a", "x"), Utterance("a", "y"))),
-     DuplicateIdError, "duplicate id 'a' (entries 1 and 2)"),
     (lambda: AbbrevTable({"z.B.": ""}), ValueError,
      "abbreviation keys and values must be nonempty"),
-    (lambda: StopList(frozenset({"Der"})), ValueError,
-     "invalid stop word: 'Der'"),
-    (lambda: StopList.from_lines(["a\tb"]), ValueError,
+    (lambda: stop_words(["a\tb"]), ValueError,
      "invalid stop word: 'a\\tb'"),
-    (lambda: StopList.from_lines(["x y"]), ValueError,
+    (lambda: stop_words(["x y"]), ValueError,
      "invalid stop word: 'x y'"),
     (lambda: WindowSpec(window=0), ValueError, "window must be >= 1"),
     (lambda: WindowSpec(16, 17), ValueError, "stride must be in [1, window]"),
@@ -100,10 +93,9 @@ def test_record_equality_and_immutability(cls, fields, changed):
      ValueError, "abbreviation keys and values must be nonempty"),
     (lambda: WindowSpec()._replace(stride=0), ValueError,
      "stride must be in [1, window]"),
-], ids=["utterance-id", "utterance-duration", "corpus-duplicate",
-        "abbrev-empty", "stoplist-word", "stoplist-tab", "stoplist-space",
-        "window", "stride", "utterance-replace", "abbrev-replace",
-        "window-replace"])
+], ids=["utterance-id", "utterance-duration", "abbrev-empty",
+        "stoplist-tab", "stoplist-space", "window", "stride",
+        "utterance-replace", "abbrev-replace", "window-replace"])
 def test_record_validation_errors(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()

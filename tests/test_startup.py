@@ -21,16 +21,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The package's exports, by the submodule that defines them.
 EXPORTS = {
-    "corpus": ["Corpus", "Source", "Utterance", "load_corpus",
-               "load_segments", "write_corpus", "write_segments"],
+    "corpus": ["Source", "Utterance", "load_corpus", "load_segments",
+               "write_corpus", "write_segments"],
     "cleaning": ["CleanConfig", "CleanOutcome", "Verdict", "clean_corpus",
                  "detect_language", "match_status_message"],
     "normalize": ["AbbrevTable", "NormConfig", "normalize_text"],
     "numbers_de": ["parse_number_de", "spell_date_de", "spell_number_de"],
     "itn": ["contract_numbers_de", "restore_display"],
-    "metrics": ["BleuScore", "StopList", "bleu", "count_stopwords",
-                "default_stoplist", "reduced_bleu", "remove_stopwords",
-                "select_checkpoint"],
+    "metrics": ["BleuScore", "bleu", "count_stopwords", "default_stoplist",
+                "read_stop_words", "reduced_bleu", "remove_stopwords",
+                "select_checkpoint", "stop_words"],
     "stats": ["CorpusStats", "compare_stats", "vocab_stats"],
     "frameplan": ["WindowPlan", "WindowSpec", "plan_padding", "plan_windows"],
 }

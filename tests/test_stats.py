@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from slt_toolkit.corpus import Corpus, Source, Utterance
+from slt_toolkit.corpus import Source, Utterance
 from slt_toolkit.stats import (
     compare_stats,
     format_comparison_table,
@@ -15,9 +15,8 @@ from slt_toolkit.stats import (
 
 
 def _corpus(entries):
-    return Corpus(tuple(
-        Utterance(f"u{i}", text, source, duration)
-        for i, (text, source, duration) in enumerate(entries)))
+    return tuple(Utterance(f"u{i}", text, source, duration)
+                 for i, (text, source, duration) in enumerate(entries))
 
 
 def test_basic_counts():
@@ -29,7 +28,7 @@ def test_basic_counts():
 
 
 def test_empty_corpus():
-    stats = vocab_stats(Corpus(()))
+    stats = vocab_stats(())
     assert stats.total.vocabulary == 0
     assert stats.total.singletons == 0
     assert stats.total.hours == 0.0
