@@ -38,9 +38,20 @@ def _path(value: str) -> str:
     return value
 
 
+def _candidate(value: str) -> tuple[str, str]:
+    """The argparse type of ``select --hyp``: NAME=PATH, or a bare PATH
+    named by its stem; an empty name or path is a usage error."""
+    name, sep, path = value.partition("=")
+    if not sep:
+        name, path = Path(_path(value)).stem, value
+    if not name:
+        raise argparse.ArgumentTypeError("empty candidate name")
+    return name, _path(path)
+
+
 def _stoplist(args):
     from . import metrics
-    path = getattr(args, "stoplist", None) or os.environ.get("SLT_STOPLIST")
+    path = args.stoplist or os.environ.get("SLT_STOPLIST")
     if path:
         return metrics.read_stop_words(path)
     return metrics.default_stoplist()
@@ -65,21 +76,23 @@ def _hypotheses(path, refs, ref_path):
     return hyps
 
 
+def _corpus_stats(path):
+    """Statistics of a corpus; hours past the float range are a data error
+    that names the file."""
+    from . import stats
+    result = stats.vocab_stats(load_corpus(path))
+    # Durations are >= 0: no per-source sum exceeds a finite total.
+    if result.total.hours == _INF:
+        raise CorpusError(
+            f"{path}: duration_s values sum past the float range")
+    return result
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps({"schema_version": SCHEMA_VERSION} | payload))
 
 
-def _print_bleu(result, as_json: bool) -> None:
-    if as_json:
-        _emit_json(result.to_dict())
-    else:
-        precisions = "/".join(f"{p:.3f}" for p in result.precisions)
-        print(f"score {result.score:.2f}  (precisions {precisions}, "
-              f"BP {result.brevity_penalty:.4f}, "
-              f"hyp_len {result.hyp_len}, ref_len {result.ref_len})")
-
-
-def _cmd_clean(args) -> int:
+def _cmd_clean(args) -> None:
     from . import cleaning
     corpus = load_corpus(args.input)
     cfg = cleaning.CleanConfig.from_json(args.config) if args.config \
@@ -88,41 +101,23 @@ def _cmd_clean(args) -> int:
     write_corpus(cleaned, args.output)
     if args.report:
         cleaning.write_clean_report(outcomes, args.report)
-    kept = sum(1 for o in outcomes if o.verdict is not cleaning.Verdict.DROPPED)
-    print(f"kept {kept}/{len(outcomes)} utterances", file=sys.stderr)
-    return 0
+    print(f"kept {len(cleaned)}/{len(outcomes)} utterances", file=sys.stderr)
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> None:
     segments = load_segments(args.input)
     table = AbbrevTable.from_tsv(args.abbrev) if args.abbrev \
         else default_abbrev_table()
-    cfg = NormConfig(
-        expand_abbrev=not args.no_abbrev,
-        strip_punct=not args.no_punct,
-        lowercase=not args.no_lowercase,
-        expand_numbers=not args.no_numbers,
-        expand_dates=not args.no_dates,
-    )
+    cfg = NormConfig._make(getattr(args, f) for f in NormConfig._fields)
     write_segments([normalize_text(line, table, cfg) for line in segments],
                    args.output)
-    return 0
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     from . import stats
-
-    def load_stats(path):
-        result = stats.vocab_stats(load_corpus(path))
-        # Durations are >= 0: no per-source sum exceeds a finite total.
-        if result.total.hours == _INF:
-            raise CorpusError(
-                f"{path}: duration_s values sum past the float range")
-        return result
-
-    result = load_stats(args.input)
+    result = _corpus_stats(args.input)
     if args.compare:
-        other = load_stats(args.compare)
+        other = _corpus_stats(args.compare)
         deltas = stats.compare_stats(result, other)
         if any(d.pct == _INF for d in deltas):  # a tiny raw hours total
             raise CorpusError(f"{args.compare}: the change in hours against "
@@ -136,36 +131,32 @@ def _cmd_stats(args) -> int:
         _emit_json(result.to_dict())
     else:
         print(stats.format_stats_table(result))
-    return 0
 
 
-def _cmd_bleu(args) -> int:
+def _cmd_bleu(args) -> None:
+    """``bleu`` and ``reduced-bleu``, told apart by the subcommand name."""
     from . import metrics
     refs = _references(args.ref)
     hyps = _hypotheses(args.hyp, refs, args.ref)
-    _print_bleu(metrics.bleu(hyps, refs, args.smoothing), args.json)
-    return 0
+    if args.command == "bleu":
+        result = metrics.bleu(hyps, refs, args.smoothing)
+    else:
+        result = metrics.reduced_bleu(hyps, refs, _stoplist(args),
+                                      args.smoothing, side=args.reduced_side)
+    if args.json:
+        _emit_json(result.to_dict())
+    else:
+        precisions = "/".join(f"{p:.3f}" for p in result.precisions)
+        print(f"score {result.score:.2f}  (precisions {precisions}, "
+              f"BP {result.brevity_penalty:.4f}, "
+              f"hyp_len {result.hyp_len}, ref_len {result.ref_len})")
 
 
-def _cmd_reduced_bleu(args) -> int:
+def _cmd_select(args) -> None:
     from . import metrics
     refs = _references(args.ref)
-    hyps = _hypotheses(args.hyp, refs, args.ref)
-    result = metrics.reduced_bleu(hyps, refs, _stoplist(args),
-                                  args.smoothing, side=args.reduced_side)
-    _print_bleu(result, args.json)
-    return 0
-
-
-def _cmd_select(args) -> int:
-    from . import metrics
-    refs = _references(args.ref)
-    candidates = []
-    for spec in args.hyp:
-        name, _, path = spec.partition("=")
-        if not path:
-            name, path = Path(spec).stem, spec
-        candidates.append((name, _hypotheses(path, refs, args.ref)))
+    candidates = [(name, _hypotheses(path, refs, args.ref))
+                  for name, path in args.hyp]
     report = metrics.select_checkpoint(candidates, refs, _stoplist(args),
                                        args.smoothing)
     if args.json:
@@ -176,30 +167,27 @@ def _cmd_select(args) -> int:
                   f"reduced {c.reduced.score:.2f}  "
                   f"stopwords {c.stopword_count} ({c.stopword_fraction:.1%})")
         print(f"winner: {report.winner}")
-    return 0
 
 
-def _cmd_itn(args) -> int:
+def _cmd_itn(args) -> None:
     from . import itn
     segments = load_segments(args.input)
     write_segments([itn.restore_display(line) for line in segments],
                    args.output)
-    return 0
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args) -> None:
     from . import frameplan
     win = frameplan.WindowSpec(window=args.window, stride=args.stride)
     if args.frames is not None:
         _emit_json(frameplan.plan_windows(args.frames, win).to_dict())
-        return 0
+        return
     lines = [jsonl_line({"id": id} | plan.to_dict())
              for id, plan in frameplan.plan_manifest(args.manifest, win)]
     if args.output is not None:
         write_segments(lines, args.output)
     else:
         sys.stdout.writelines(line + "\n" for line in lines)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,11 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", type=_path, required=True)
     p.add_argument("--out", dest="output", type=_path, required=True)
     p.add_argument("--abbrev", type=_path, help="abbreviation table TSV")
-    p.add_argument("--no-abbrev", action="store_true")
-    p.add_argument("--no-punct", action="store_true")
-    p.add_argument("--no-lowercase", action="store_true")
-    p.add_argument("--no-numbers", action="store_true")
-    p.add_argument("--no-dates", action="store_true")
+    for flag, field in zip(("abbrev", "punct", "lowercase", "numbers",
+                            "dates"), NormConfig._fields):
+        p.add_argument(f"--no-{flag}", dest=field, action="store_false")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("stats", help="vocabulary/singleton/hour statistics")
@@ -234,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stats)
 
-    for name, func in (("bleu", _cmd_bleu), ("reduced-bleu", _cmd_reduced_bleu)):
+    for name in ("bleu", "reduced-bleu"):
         p = sub.add_parser(name, help=f"corpus-level {name} score")
         p.add_argument("--hyp", type=_path, required=True)
         p.add_argument("--ref", type=_path, required=True)
@@ -244,11 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--stoplist", type=_path)
             p.add_argument("--reduced-side", choices=["both", "hyp"],
                            default="both")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_bleu)
 
     p = sub.add_parser("select", help="pick a checkpoint by reduced BLEU")
     p.add_argument("--ref", type=_path, required=True)
-    p.add_argument("--hyp", type=_path, action="append", required=True,
+    p.add_argument("--hyp", type=_candidate, action="append", required=True,
                    metavar="NAME=PATH")
     p.add_argument("--stoplist", type=_path)
     p.add_argument("--smoothing", choices=["none", "exp"], default="none")
@@ -280,10 +266,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "plan" and None not in (args.frames, args.output):
         parser.error("argument --out: not allowed with argument --frames")
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError) as exc:  # CorpusError, ScoringError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

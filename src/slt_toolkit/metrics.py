@@ -54,44 +54,39 @@ def _grams(tokens: list[str]) -> list[list]:
             [*zip(tokens, t1, t2, t3)]]
 
 
-class _BleuStats:
-    """Sufficient statistics of corpus BLEU, summed over segments: clipped
-    matches and n-gram totals per order; the unigram total is hyp_len."""
-    def __init__(self, matches: list[int], totals: list[int],
-                 ref_len: int) -> None:
-        self.matches, self.totals = matches, totals
-        self.hyp_len, self.ref_len = totals[0], ref_len
-
-    def score(self, smoothing: Smoothing) -> BleuScore:
-        matches, totals = self.matches, self.totals
-        hyp_len, ref_len = self.hyp_len, self.ref_len
-        precisions = [0.0] * NGRAM_ORDER
-        log_sum = 0.0
-        # As sacreBLEU: the k-th order without a match (k from 1) counts
-        # 1/(2^k * total), and no match at any order scores 0.
-        smooth = smoothing == "exp" and any(matches)
-        zero_orders = 0
-        zero_score = False
-        for n in range(NGRAM_ORDER):
-            if totals[n] == 0:
-                # No n-grams of this order: vacuous, excluded from the mean.
-                precisions[n] = 1.0
-                continue
-            if matches[n] > 0:
-                precisions[n] = matches[n] / totals[n]
-            elif smooth:
-                zero_orders += 1
-                precisions[n] = 1.0 / (2 ** zero_orders * totals[n])
-            else:
-                precisions[n] = 0.0
-                zero_score = True
-            if not zero_score:
-                log_sum += math.log(precisions[n]) / NGRAM_ORDER
-        if hyp_len == 0:
-            return BleuScore(0.0, tuple(precisions), 1.0, 0, ref_len)
-        bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-        score = 0.0 if zero_score else 100.0 * bp * math.exp(log_sum)
-        return BleuScore(score, tuple(precisions), bp, hyp_len, ref_len)
+def _score(matches: list[int], totals: list[int], ref_len: int,
+           smoothing: Smoothing) -> BleuScore:
+    """Corpus BLEU from its sufficient statistics, summed over segments:
+    clipped matches and n-gram totals per order (the unigram total is the
+    hypothesis length) and the reference length."""
+    hyp_len = totals[0]
+    precisions = [0.0] * NGRAM_ORDER
+    log_sum = 0.0
+    # As sacreBLEU: the k-th order without a match (k from 1) counts
+    # 1/(2^k * total), and no match at any order scores 0.
+    smooth = smoothing == "exp" and any(matches)
+    zero_orders = 0
+    zero_score = False
+    for n in range(NGRAM_ORDER):
+        if totals[n] == 0:
+            # No n-grams of this order: vacuous, excluded from the mean.
+            precisions[n] = 1.0
+            continue
+        if matches[n] > 0:
+            precisions[n] = matches[n] / totals[n]
+        elif smooth:
+            zero_orders += 1
+            precisions[n] = 1.0 / (2 ** zero_orders * totals[n])
+        else:
+            precisions[n] = 0.0
+            zero_score = True
+        if not zero_score:
+            log_sum += math.log(precisions[n]) / NGRAM_ORDER
+    if hyp_len == 0:
+        return BleuScore(0.0, tuple(precisions), 1.0, 0, ref_len)
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    score = 0.0 if zero_score else 100.0 * bp * math.exp(log_sum)
+    return BleuScore(score, tuple(precisions), bp, hyp_len, ref_len)
 
 
 def _content(tokens: list[str], words: frozenset[str]) -> list[str]:
@@ -100,11 +95,11 @@ def _content(tokens: list[str], words: frozenset[str]) -> list[str]:
 
 def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
                 views: Sequence[tuple[frozenset[str], frozenset[str]]]
-                ) -> list[list[_BleuStats]]:
-    """Statistics of each labelled hypothesis set under each view (the words
-    deleted from hypothesis and reference), walking the references one segment
-    at a time and scoring every set against it in one step. Only an empty
-    unreduced reference side is an error."""
+                ) -> list[list[tuple[list[int], list[int], int]]]:
+    """The ``_score`` statistics of each labelled hypothesis set under each
+    view (the words deleted from hypothesis and reference), walking the
+    references one segment at a time and scoring every set against it in one
+    step. Only an empty unreduced reference side is an error."""
     ref_lines = list(refs)
     hyp_sets = [list(hyps) for _, hyps in labelled]
     for (label, _), hyp_lines in zip(labelled, hyp_sets):
@@ -140,14 +135,15 @@ def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
             row[0] = [*map(add, row[0], hits)]
             row[1] = [*map(add, row[1], map(len, grams))]
             row[2] += len(kept)
-    return [[_BleuStats(matches[i:i + NGRAM_ORDER], totals[i:i + NGRAM_ORDER],
-                        ref_len) for i in range(0, width, NGRAM_ORDER)]
+    return [[(matches[i:i + NGRAM_ORDER], totals[i:i + NGRAM_ORDER], ref_len)
+             for i in range(0, width, NGRAM_ORDER)]
             for matches, totals, ref_len in sums]
 
 
 def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuScore:
-    return _accumulate([("segment count mismatch", hyps)], refs,
-                       [(frozenset(), frozenset())])[0][0].score(smoothing)
+    [[stats]] = _accumulate([("segment count mismatch", hyps)], refs,
+                            [(frozenset(), frozenset())])
+    return _score(*stats, smoothing)
 
 
 def stop_words(lines: Iterable[str]) -> frozenset[str]:
@@ -179,8 +175,8 @@ def reduced_bleu(hyps: Segments, refs: Segments, stops: frozenset[str],
                  smoothing: Smoothing = "none",
                  side: Literal["both", "hyp"] = "both") -> BleuScore:
     view = (stops, stops if side == "both" else frozenset())
-    return _accumulate([("segment count mismatch", hyps)], refs,
-                       [view])[0][0].score(smoothing)
+    [[stats]] = _accumulate([("segment count mismatch", hyps)], refs, [view])
+    return _score(*stats, smoothing)
 
 
 def count_stopwords(hyps: Segments, stops: frozenset[str]
@@ -232,10 +228,10 @@ def select_checkpoint(candidates: Sequence[tuple[str, Segments]],
         [(frozenset(), frozenset()), (stops, stops)])
     scored = []
     for (name, _), whole, kept in zip(candidates, full, reduced):
+        whole, kept = _score(*whole, smoothing), _score(*kept, smoothing)
         count = whole.hyp_len - kept.hyp_len
         fraction = count / whole.hyp_len if whole.hyp_len else 0.0
-        scored.append(CandidateScores(name, whole.score(smoothing),
-                                      kept.score(smoothing), count, fraction))
+        scored.append(CandidateScores(name, whole, kept, count, fraction))
     winner = min(scored, key=lambda c: (-c.reduced.score, c.stopword_count,
                                         c.name))
     return SelectionReport(tuple(scored), winner.name)

@@ -4,15 +4,18 @@ import contextlib
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slt_toolkit import metrics
+from slt_toolkit import cli, metrics
 from slt_toolkit.cli import main
 from slt_toolkit.corpus import load_corpus, load_segments
 from slt_toolkit.frameplan import MAX_FRAME_COUNT
 from slt_toolkit.itn import restore_display
+from slt_toolkit.normalize import NormConfig, default_abbrev_table, \
+    normalize_text
 from slt_toolkit.numbers_de import MAX_NUMBER, spell_number_de
 
 
@@ -194,6 +197,36 @@ def test_select_duplicate_name_is_data_error(seg, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("a=", "empty path"),
+    ("=h.txt", "empty candidate name"),
+    ("=", "empty candidate name"),
+])
+def test_select_hyp_spec_usage_errors(seg, capsys, monkeypatch, spec,
+                                      message):
+    ref = seg("r.txt", ["hund bellt"])
+    monkeypatch.chdir(Path(ref).parent)
+    seg("h.txt", ["hund bellt"])
+
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "load_segments", no_read)
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "--ref", ref, "--hyp", spec])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: argument --hyp: {message}\n")
+    assert captured.out == ""
+
+
+def test_select_bare_hyp_path_is_named_by_stem(seg, capsys):
+    ref = seg("r.txt", ["hund bellt"])
+    hyp = seg("h.txt", ["hund bellt"])
+    assert main(["select", "--ref", ref, "--hyp", hyp]) == 0
+    assert capsys.readouterr().out.endswith("winner: h\n")
+
+
 def test_clean_and_report(tmp_path, seg, capsys):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text(
@@ -226,6 +259,23 @@ def test_normalize_no_numbers_flag(tmp_path, seg):
     assert main(["normalize", "--in", inp, "--out", str(out),
                  "--no-numbers"]) == 0
     assert list(load_segments(out)) == ["42 franken"]
+
+
+_NORM_FLAGS = ["abbrev", "punct", "lowercase", "numbers", "dates"]
+
+
+@pytest.mark.parametrize("flag, field", zip(_NORM_FLAGS, NormConfig._fields))
+def test_normalize_no_flag_turns_off_its_step(tmp_path, seg, flag, field):
+    line = "Am 3.10.2022 kamen z.B. 42 Gäste."
+    inp = seg("in.txt", [line])
+    out, plain = tmp_path / "out.txt", tmp_path / "plain.txt"
+    assert main(["normalize", "--in", inp, "--out", str(out),
+                 f"--no-{flag}"]) == 0
+    assert main(["normalize", "--in", inp, "--out", str(plain)]) == 0
+    expected = normalize_text(line, default_abbrev_table(),
+                              NormConfig(**{field: False}))
+    assert list(load_segments(out)) == [expected]
+    assert list(load_segments(plain)) != [expected]
 
 
 def test_normalize_empty_abbrev_table(tmp_path, seg):

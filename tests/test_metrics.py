@@ -327,8 +327,9 @@ def test_select_scores_equal_standalone_and_oracle(inputs, smoothing):
 
 
 def _loop_stats(pairs):
-    """Reference for _BleuStats: every distinct hypothesis n-gram, keyed as
-    a tuple, clipped against the reference count in a Python loop."""
+    """Reference for the _accumulate statistics: every distinct hypothesis
+    n-gram, keyed as a tuple, clipped against the reference count in a
+    Python loop."""
     def counts(tokens):
         return Counter(chain.from_iterable(
             zip(*[tokens[k:] for k in range(n)]) for n in range(1, 5)))
@@ -348,7 +349,8 @@ def _loop_stats(pairs):
 
 
 def _stats_tuple(stats):
-    return stats.matches, stats.totals, stats.hyp_len, stats.ref_len
+    matches, totals, ref_len = stats
+    return matches, totals, totals[0], ref_len
 
 
 def _summed_stats(pairs):
