@@ -204,14 +204,11 @@ def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
     return CleanOutcome(utt.id, verdict, tuple(hits), text=text)
 
 
-def clean_corpus(corpus: Sequence[Utterance],
-                 profiles: Mapping[Language, frozenset[str]] | None = None,
-                 cfg: CleanConfig = CleanConfig()
+def clean_corpus(corpus: Sequence[Utterance], cfg: CleanConfig = CleanConfig()
                  ) -> tuple[tuple[Utterance, ...], list[CleanOutcome]]:
     """Apply the rules of ``cfg.enabled`` per utterance; survivors keep
     their input order, and their ids stay unique."""
-    if profiles is None:
-        profiles = default_profiles()
+    profiles = default_profiles()
     outcomes = [_clean_one(u, profiles, cfg) for u in corpus]
     survivors = tuple(
         u if o.verdict is Verdict.KEPT

@@ -85,17 +85,20 @@ def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
     Clips shorter than one window get a single window with last-frame
     repetition padding; empty clips get an empty plan. Longer clips get
     every full window, and the frames after the last one are counted as
-    uncovered. When width/height are given, padding geometry is filled
-    in; otherwise the plan carries the target box with unit scale.
+    uncovered. When width and height are given, padding geometry is
+    filled in; when neither is, the plan carries the target box with unit
+    scale; one without the other is an error.
     """
     if frame_count < 0:
         raise ValueError("frame_count must be >= 0")
     if frame_count > MAX_FRAME_COUNT:
         raise ValueError(f"frame_count must be <= {MAX_FRAME_COUNT}")
-    if width is not None and height is not None:
-        padded_w, padded_h, scale_x, scale_y = plan_padding(width, height)
-    else:
+    if (width is None) != (height is None):
+        raise ValueError("width and height must be given together")
+    if width is None:
         padded_w, padded_h, scale_x, scale_y = _TARGET, _TARGET, 1.0, 1.0
+    else:
+        padded_w, padded_h, scale_x, scale_y = plan_padding(width, height)
     tail = uncovered = 0
     if frame_count == 0:
         starts: tuple[int, ...] = ()

@@ -18,13 +18,17 @@ _TEENS = ["zehn", "elf", "zwölf", "dreizehn", "vierzehn", "fünfzehn",
 _TENS = ["", "", "zwanzig", "dreißig", "vierzig", "fünfzig", "sechzig",
          "siebzig", "achtzig", "neunzig"]
 
+# The feminine scale words above tausend, largest first: (value, singular
+# after "eine", plural after any other coefficient).
+_SCALES = ((10 ** 9, "milliarde", "milliarden"),
+           (10 ** 6, "million", "millionen"))
+
 # Every spelling parse_number_de accepts is a concatenation of these
 # pieces, and begins with one of the start pieces.
 NUMBER_START_PIECES = frozenset(
     _UNITS[1:] + _TEENS + _TENS[2:] + ["ein", "eine", "null"])
-NUMBER_PIECES = NUMBER_START_PIECES | {
-    "hundert", "und", "tausend", "million", "millionen", "milliarde",
-    "milliarden"}
+NUMBER_PIECES = NUMBER_START_PIECES | {"hundert", "und", "tausend"} | {
+    word for _, one, many in _SCALES for word in (one, many)}
 
 MONTHS = ["januar", "februar", "märz", "april", "mai", "juni", "juli",
           "august", "september", "oktober", "november", "dezember"]
@@ -42,17 +46,13 @@ def _spell_under_100(n: int, one: str) -> str:
     tens, unit = divmod(n, 10)
     if unit == 0:
         return _TENS[tens]
-    unit_word = "ein" if unit == 1 else _UNITS[unit]
-    return unit_word + "und" + _TENS[tens]
+    return _spell_under_100(unit, "ein") + "und" + _TENS[tens]
 
 
 def _spell_under_1000(n: int, one: str = "eins") -> str:
     hundreds, rest = divmod(n, 100)
-    word = ""
-    if hundreds:
-        word += ("ein" if hundreds == 1 else _UNITS[hundreds]) + "hundert"
-    word += _spell_under_100(rest, one)
-    return word
+    head = _spell_under_100(hundreds, "ein") + "hundert" if hundreds else ""
+    return head + _spell_under_100(rest, one)
 
 
 def spell_number_de(n: int) -> str:
@@ -61,32 +61,23 @@ def spell_number_de(n: int) -> str:
         raise ValueError(f"number out of range [0, {MAX_NUMBER}]: {n}")
     if n == 0:
         return "null"
-    billions, rest = divmod(n, 10 ** 9)
-    millions, rest = divmod(rest, 10 ** 6)
-    thousands, low = divmod(rest, 1000)
     word = ""
-    if billions:
-        if billions == 1:
-            word += "einemilliarde"
-        else:
-            word += _spell_under_1000(billions, one="eine") + "milliarden"
-    if millions:
-        if millions == 1:
-            word += "einemillion"
-        else:
-            word += _spell_under_1000(millions, one="eine") + "millionen"
+    for value, one, many in _SCALES:
+        coef, n = divmod(n, value)
+        if coef:
+            word += (_spell_under_1000(coef, one="eine")
+                     + (one if coef == 1 else many))
+    thousands, low = divmod(n, 1000)
     if thousands:
         word += _spell_under_1000(thousands, one="ein") + "tausend"
-    if low:
-        word += _spell_under_1000(low, one="eins")
-    return word
+    return word + _spell_under_1000(low)
 
 
 def _inverse_table(one: str) -> dict[str, int]:
     """{_spell_under_1000(n, one): n for n in 1..999}, keys in that order,
     joined from 10 hundred heads and 100 under-hundred tails; the first
     spelling is "" for 0 and is dropped."""
-    heads = [""] + [_spell_under_1000(100 * h) for h in range(1, 10)]
+    heads = [_spell_under_1000(100 * h) for h in range(10)]
     tails = [_spell_under_100(n, one) for n in range(100)]
     spellings = [head + tail for head in heads for tail in tails]
     return dict(zip(spellings[1:], range(1, 1000)))
@@ -99,41 +90,23 @@ _TABLE_EIN = _inverse_table("ein")
 _TABLE_EINE = _inverse_table("eine")
 
 
-def _parse_feminine_scale(rest: str, word: str, table: dict[str, int]):
-    """Split off '<coef><word>[plural]' from the front; None if malformed."""
-    idx = rest.find(word)
-    if idx <= 0:
-        return 0, rest
-    coef = table.get(rest[:idx])
-    if coef is None:
-        return None
-    tail = rest[idx + len(word):]
-    if coef == 1:
-        if rest[:idx] != "eine":
-            return None
-        return 1, tail
-    suffix = "n" if word.endswith("e") else "en"
-    if not tail.startswith(suffix):
-        return None
-    return coef, tail[len(suffix):]
-
-
 def parse_number_de(word: str) -> int | None:
     """Inverse of spell_number_de; None when the word is not a cardinal."""
     if word == "null":
         return 0
     rest = word
-    billions = millions = 0
+    total = 0
     if "milli" in word:  # neither scale split applies without it
-        result = _parse_feminine_scale(rest, "milliarde", _TABLE_EINE)
-        if result is None:
-            return None
-        billions, rest = result
-        result = _parse_feminine_scale(rest, "million", _TABLE_EINE)
-        if result is None:
-            return None
-        millions, rest = result
-    thousands = 0
+        for value, one, many in _SCALES:
+            idx = rest.find(one)
+            if idx <= 0:
+                continue
+            coef = _TABLE_EINE.get(rest[:idx])
+            scale = one if coef == 1 else many
+            if coef is None or not rest.startswith(scale, idx):
+                return None
+            total += coef * value
+            rest = rest[idx + len(scale):]
     idx = rest.find("tausend")
     if idx == 0:
         return None
@@ -141,13 +114,13 @@ def parse_number_de(word: str) -> int | None:
         thousands = _TABLE_EIN.get(rest[:idx], 0)
         if thousands == 0:
             return None
+        total += thousands * 1000
         rest = rest[idx + len("tausend"):]
-    low = 0
     if rest:
         low = _TABLE_EINS.get(rest, 0)
         if low == 0:
             return None
-    total = billions * 10 ** 9 + millions * 10 ** 6 + thousands * 1000 + low
+        total += low
     return total if total else None
 
 
@@ -160,19 +133,15 @@ def spell_ordinal_de(n: int) -> str:
         raise ValueError(f"ordinal out of range [1, 31]: {n}")
     if n in _ORDINAL_IRREGULAR:
         return _ORDINAL_IRREGULAR[n]
-    if n < 20:
-        return _spell_under_1000(n) + "ter"
-    return _spell_under_1000(n, one="ein") + "ster"
+    return _spell_under_100(n, "eins") + ("ter" if n < 20 else "ster")
 
 
 def spell_year_de(year: int) -> str:
     """Years 1100-1999 use the hundreds convention, otherwise plain cardinal."""
     if 1100 <= year <= 1999:
         hundreds, rest = divmod(year, 100)
-        word = _spell_under_100(hundreds, one="ein") + "hundert"
-        if rest:
-            word += _spell_under_1000(rest, one="eins")
-        return word
+        return (_spell_under_100(hundreds, "ein") + "hundert"
+                + _spell_under_100(rest, "eins"))
     return spell_number_de(year)
 
 

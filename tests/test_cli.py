@@ -695,6 +695,19 @@ def test_plan_manifest_frames_above_bound_names_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_plan_manifest_half_geometry_is_data_error(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.jsonl").write_text(
+        '{"id":"a","frame_count":100,"width":640}\n', encoding="utf-8")
+    assert main(["plan", "--manifest", "m.jsonl", "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: m.jsonl: line 1: width and height must be given together\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_deterministic_output(seg, capsys):
     hyp = seg("h.txt", ["x y z"])
     ref = seg("r.txt", ["x y w"])

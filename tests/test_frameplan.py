@@ -190,3 +190,11 @@ def test_plan_carries_geometry_when_dims_given():
     assert (plan.padded_w, plan.padded_h) == (1400, 1150)
     assert plan.feature_dim == 1024
 
+
+@pytest.mark.parametrize("dims", [{"width": 640}, {"height": 480}],
+                         ids=["width-only", "height-only"])
+def test_half_geometry_is_an_error(dims):
+    with pytest.raises(ValueError,
+                       match="^width and height must be given together$"):
+        plan_windows(100, **dims)
+

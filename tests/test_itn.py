@@ -67,8 +67,20 @@ def test_roundtrip_exhaustive_small():
 
 def test_parse_rejects_garbage():
     for bad in ["", "hundertund", "einsund", "nulltausend", "millioneins",
-                "zweiundzwanzigund", "eins zwei"]:
-        assert parse_number_de(bad) is None
+                "zweiundzwanzigund", "eins zwei", "einmillion",
+                "einemillionen", "zweimillion", "einemilliarden",
+                "zweimilliarde", "millionen", "milliardeeins", "einsmillion",
+                "eintausendmillion"]:
+        assert parse_number_de(bad) is None, bad
+
+
+def test_roundtrip_scale_coefficients():
+    # Coefficients of one take the singular scale word after "eine"; the
+    # exhaustive round trips above stop below the first scale word.
+    coefs = (0, 1, 2, 21, 101, 999)
+    for n in (a * 10 ** 9 + b * 10 ** 6 + c for a in coefs for b in coefs
+              for c in (0, 1, 1000, 999_999)):
+        assert parse_number_de(spell_number_de(n)) == n
 
 
 def test_restore_display_sentence():
