@@ -30,6 +30,10 @@ class RuleName(Enum):
     STATUS_MESSAGE = "STATUS_MESSAGE"
     ASTERISK_SOUND = "ASTERISK_SOUND"
 
+    # Identity hash, as for Language below: four rule checks per utterance
+    # look members up in ``CleanConfig.enabled``.
+    __hash__ = object.__hash__
+
 
 class Verdict(Enum):
     KEPT = "KEPT"
@@ -160,9 +164,13 @@ class CleanConfig(NamedTuple):
             rules = json_field(obj, "enabled_rules", list, None)
             enabled = frozenset(RuleName) if rules is None \
                 else frozenset(map(RuleName, rules))
+            patterns = json_field(obj, "status_patterns", list,
+                                  DEFAULT_STATUS_PATTERNS)
+            if "" in patterns:  # every text starts with ""
+                raise ValueError(
+                    "field 'status_patterns' must not hold an empty pattern")
             return CleanConfig(
-                json_field(obj, "status_patterns", list,
-                           DEFAULT_STATUS_PATTERNS),
+                patterns,
                 json_field(obj, "foreign_threshold", float,
                            DEFAULT_FOREIGN_THRESHOLD),
                 enabled)

@@ -110,7 +110,7 @@ def parse_lines(lines: Iterable[str], path: str | Path,
     this is the one place that says where in a file a line is wrong."""
     parsed = []
     for lineno, line in enumerate(lines, start=1):
-        if line.strip():
+        if line and not line.isspace():
             try:
                 parsed.append((lineno, parse(line)))
             except ValueError as exc:
@@ -121,13 +121,22 @@ def parse_lines(lines: Iterable[str], path: str | Path,
 # A \u escape in U+D800..U+DFFF, which most ASCII-escaped text lacks: a
 # lone surrogate decodes, but no UTF-8 encodes it.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# (value, end) of the JSON value at the start of a text.
+_decode_prefix = json.JSONDecoder().raw_decode
 
 
 def json_object(text: str) -> dict:
     """The JSON object ``text`` holds; errors carry no location, except the
     line of malformed JSON in a text of several lines (a whole file)."""
+    # A text that is one JSON value and nothing else takes one C call;
+    # json.loads skips white space around the value and words errors.
     try:
-        obj = json.loads(text)
+        obj, end = _decode_prefix(text)
+    except (ValueError, RecursionError):
+        end = -1
+    try:
+        if end != len(text):
+            obj = json.loads(text)
         if _SURROGATE_ESCAPE.search(text):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
@@ -170,17 +179,18 @@ def json_field(obj: dict, name: str, kind: type, default=_REQUIRED):
     raise CorpusError(f"field '{name}' must be {_KIND_NAMES[kind]}")
 
 
+_SOURCES = {source.value: source for source in Source}
+
+
 def _utterance(line: str) -> Utterance:
     obj = json_object(line)
     id = json_field(obj, "id", str)
     text = json_field(obj, "text", str)
-    source = json_field(obj, "source", str, None)
+    source = json_field(obj, "source", str, "OTHER")
     duration = json_field(obj, "duration_s", float, None)
-    try:
-        source = Source.OTHER if source is None else Source(source)
-    except ValueError:
-        raise CorpusError(f"unknown source '{source}'") from None
-    return Utterance(id, text, source, duration)
+    if source not in _SOURCES:
+        raise CorpusError(f"unknown source '{source}'")
+    return Utterance(id, text, _SOURCES[source], duration)
 
 
 def load_corpus(path: str | Path) -> tuple[Utterance, ...]:
@@ -196,7 +206,9 @@ def load_corpus(path: str | Path) -> tuple[Utterance, ...]:
 
 
 # One JSON Lines record; non-ASCII characters, U+2028 included, stay raw.
-jsonl_line = json.JSONEncoder(ensure_ascii=False).encode
+# Every record is built afresh from strings and numbers, so it holds no
+# cycle to look for.
+jsonl_line = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
 def write_corpus(corpus: Iterable[Utterance], path: str | Path) -> None:

@@ -32,6 +32,10 @@ _INNER_HEADS |= {tail + head
                  for head in {word[:k] for word in NUMBER_PIECES
                               for k in (1, 2)}
                  if len(tail) + len(head) <= 3}
+# Start pieces that are no number on their own ("ein", "eine"): a run of
+# one such token is not parsed.
+_NEVER_ALONE = frozenset(word for word in NUMBER_START_PIECES
+                         if parse_number_de(word) is None)
 
 
 def contract_numbers_de(text: str) -> str:
@@ -50,11 +54,14 @@ def contract_numbers_de(text: str) -> str:
             stop = min(i + _MAX_RUN, n)
             while end < stop and tokens[end][:3] in _INNER_HEADS:
                 end += 1
-            while end > i:
+            low = i + 1 if token in _NEVER_ALONE else i
+            while end > low:
                 value = parse_number_de("".join(tokens[i:end]))
                 if value is not None:
                     break
                 end -= 1
+            else:
+                end = i
         if end > i:
             out.append(str(value))
             i = end

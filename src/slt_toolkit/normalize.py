@@ -165,6 +165,16 @@ _DIGIT_MAP = _CodePointMap(
     lambda ch: f" {spell_number_de(unicodedata.digit(ch))} "
     if ch.isdigit() and not ch.isdecimal() else ch)
 
+# The character map applied after number expansion, by (expand_numbers,
+# strip_punct): with both on, one pass maps each character by the digit
+# map and the result by the punctuation map.
+_CHAR_MAPS = {
+    (True, True): _CodePointMap(
+        lambda ch: _DIGIT_MAP[ord(ch)].translate(_PUNCT_MAP)),
+    (True, False): _DIGIT_MAP,
+    (False, True): _PUNCT_MAP,
+}
+
 
 def _expand_numeric(text: str, cfg: NormConfig) -> str:
     def repl(m: re.Match) -> str:
@@ -179,14 +189,7 @@ def _expand_numeric(text: str, cfg: NormConfig) -> str:
             return _expand_decimal(m.group())
         return _spell_integer(_SEPARATORS_RE.sub("", m.group()))
 
-    text = _NUMERIC_RE.sub(repl, text)
-    if cfg.expand_numbers:
-        text = text.translate(_DIGIT_MAP)
-    return text
-
-
-def _strip_punctuation(text: str) -> str:
-    return text.translate(_PUNCT_MAP)
+    return _NUMERIC_RE.sub(repl, text)
 
 
 def normalize_text(text: str, table: AbbrevTable | None = None,
@@ -198,8 +201,9 @@ def normalize_text(text: str, table: AbbrevTable | None = None,
         text = _expand_abbreviations(text, table)
     if cfg.expand_dates or cfg.expand_numbers:
         text = _expand_numeric(text, cfg)
-    if cfg.strip_punct:
-        text = _strip_punctuation(text)
+    char_map = _CHAR_MAPS.get((cfg.expand_numbers, cfg.strip_punct))
+    if char_map is not None:
+        text = text.translate(char_map)
     if cfg.lowercase:
         text = text.lower()
     # A deleted format character or a spelled number can leave a combining

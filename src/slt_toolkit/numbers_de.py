@@ -55,39 +55,43 @@ def _spell_under_1000(n: int, one: str = "eins") -> str:
     return head + _spell_under_100(rest, one)
 
 
+def _spellings(one: str) -> list[str]:
+    """[_spell_under_1000(n, one) for n in 0..999], "" for 0, joined from
+    10 hundred heads and 100 under-hundred tails."""
+    heads = [_spell_under_1000(100 * h) for h in range(10)]
+    tails = [_spell_under_100(n, one) for n in range(100)]
+    return [head + tail for head in heads for tail in tails]
+
+
+# Spellings under 1000, one list per final-"one" form: "eins" standalone,
+# "ein" before tausend, "eine" before the feminine scale words.
+_SPELL_EINS = _spellings("eins")
+_SPELL_EIN = _spellings("ein")
+_SPELL_EINE = _spellings("eine")
+
+
 def spell_number_de(n: int) -> str:
     """Spell a cardinal in [0, 999_999_999_999] as one lowercase word."""
     if not 0 <= n <= MAX_NUMBER:
         raise ValueError(f"number out of range [0, {MAX_NUMBER}]: {n}")
-    if n == 0:
-        return "null"
+    if n < 1000:
+        return _SPELL_EINS[n] if n else "null"
     word = ""
     for value, one, many in _SCALES:
         coef, n = divmod(n, value)
         if coef:
-            word += (_spell_under_1000(coef, one="eine")
-                     + (one if coef == 1 else many))
+            word += _SPELL_EINE[coef] + (one if coef == 1 else many)
     thousands, low = divmod(n, 1000)
     if thousands:
-        word += _spell_under_1000(thousands, one="ein") + "tausend"
-    return word + _spell_under_1000(low)
-
-
-def _inverse_table(one: str) -> dict[str, int]:
-    """{_spell_under_1000(n, one): n for n in 1..999}, keys in that order,
-    joined from 10 hundred heads and 100 under-hundred tails; the first
-    spelling is "" for 0 and is dropped."""
-    heads = [_spell_under_1000(100 * h) for h in range(10)]
-    tails = [_spell_under_100(n, one) for n in range(100)]
-    spellings = [head + tail for head in heads for tail in tails]
-    return dict(zip(spellings[1:], range(1, 1000)))
+        word += _SPELL_EIN[thousands] + "tausend"
+    return word + _SPELL_EINS[low]
 
 
 # Inverse tables, one per final-"one" form. Spellings under 1000 are unique
 # within each form, so parsing a chunk is a dict lookup.
-_TABLE_EINS = _inverse_table("eins")
-_TABLE_EIN = _inverse_table("ein")
-_TABLE_EINE = _inverse_table("eine")
+_TABLE_EINS = dict(zip(_SPELL_EINS[1:], range(1, 1000)))
+_TABLE_EIN = dict(zip(_SPELL_EIN[1:], range(1, 1000)))
+_TABLE_EINE = dict(zip(_SPELL_EINE[1:], range(1, 1000)))
 
 
 def parse_number_de(word: str) -> int | None:

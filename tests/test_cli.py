@@ -571,6 +571,26 @@ def test_clean_config_unknown_field_is_data_error(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("patterns", [[""], ["Nur dieses", ""]])
+def test_clean_config_empty_status_pattern_is_data_error(tmp_path, capsys,
+                                                         patterns):
+    """Every text starts with "": an empty pattern would drop each line
+    that is punctuation only as a status message."""
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
+    corpus.write_text('{"id":"a","text":"..."}\n{"id":"b","text":"–"}\n',
+                      encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"status_patterns": patterns}),
+                      encoding="utf-8")
+    assert main(["clean", "--in", str(corpus), "--out", str(out),
+                 "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {config}: field 'status_patterns' "
+                            f"must not hold an empty pattern\n")
+    assert re.match(_CONFIG_ERRORS, captured.err[len(f"error: {config}: "):])
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["stoplist", "env", "abbrev"])
 def test_non_utf8_list_file_named(tmp_path, seg, capsys, monkeypatch,
                                   command):

@@ -1,6 +1,7 @@
 """Tests for corpus and segment file I/O."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from slt_toolkit.corpus import (
     CorpusError,
     Source,
     Utterance,
+    json_object,
     load_corpus,
     load_segments,
     write_corpus,
@@ -231,3 +233,67 @@ def test_input_decoding_lives_in_corpus():
                   if isinstance(node, ast.JoinedStr)
                   and "line {" in ast.unparse(node)]
     assert found == []
+
+
+def _json_object_oracle(text):
+    """json_object as first written: json.loads on every text."""
+    try:
+        obj = json.loads(text)
+        if re.search(r"\\u[dD][89a-fA-F]", text):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except json.JSONDecodeError as exc:
+        where = f"line {exc.lineno}: " if "\n" in text else ""
+        raise CorpusError(f"{where}malformed JSON: {exc.msg}") from None
+    except RecursionError:
+        raise CorpusError("JSON nested too deeply") from None
+    except UnicodeEncodeError:
+        raise CorpusError("string is not valid Unicode") from None
+    if not isinstance(obj, dict):
+        raise CorpusError("expected a JSON object")
+    return obj
+
+
+def _outcome(decode, text):
+    """repr of the decoded value, which tells NaN and -0.0 apart, or the
+    error text."""
+    try:
+        return "value", repr(decode(text))
+    except CorpusError as exc:
+        return "error", str(exc)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+_PADDING = st.text(st.sampled_from(" \t\r\n"), max_size=3)
+
+
+@st.composite
+def _json_texts(draw):
+    """A JSON text, padded with white space, maybe followed by data, cut,
+    behind a BOM, wrapped in deep nesting or holding surrogate escapes."""
+    text = json.dumps(draw(_JSON_VALUES), ensure_ascii=draw(st.booleans()),
+                      indent=draw(st.sampled_from([None, 1])))
+    if draw(st.booleans()):  # a lone or paired surrogate escape
+        text = draw(st.sampled_from(["{\"a\": %s}", "[%s]", "%s"])) % draw(
+            st.sampled_from(['"\\ud800"', '"\\udc00x"', '"\\ud83d\\ude00"',
+                             '"\\uD83Dx"']))
+    depth = draw(st.sampled_from([0, 0, 1, 50, 5_000]))
+    text = '{"a": [' * depth + text + "]}" * depth
+    text = draw(_PADDING) + text + draw(_PADDING)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["x", "{}", " 1", ",", "]", "\n{}"]))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(_json_texts(), st.text(max_size=12)))
+def test_json_object_equals_json_loads_version(text):
+    assert _outcome(json_object, text) == _outcome(_json_object_oracle, text)

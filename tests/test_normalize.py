@@ -18,14 +18,18 @@ from hypothesis import given, settings, strategies as st
 from slt_toolkit.normalize import (
     AbbrevTable,
     NormConfig,
+    _DIGIT_MAP,
     _NUMERIC_RE,
+    _PUNCT_MAP,
     _expand_abbreviations,
-    _strip_punctuation,
+    _expand_numeric,
     default_abbrev_table,
     normalize_text,
 )
 from slt_toolkit.numbers_de import (
+    MAX_NUMBER,
     _days_in_month,
+    _spell_under_1000,
     spell_date_de,
     spell_number_de,
     spell_ordinal_de,
@@ -93,6 +97,46 @@ def test_spell_number_out_of_range():
 def test_spell_number_injective_below_100k():
     spellings = {spell_number_de(n) for n in range(100_000)}
     assert len(spellings) == 100_000
+
+
+def _spell_number_oracle(n):
+    """spell_number_de as first written: each group spelled by
+    _spell_under_1000 with its final-"one" form, then its scale word."""
+    if n == 0:
+        return "null"
+    billions, n = divmod(n, 10 ** 9)
+    millions, n = divmod(n, 10 ** 6)
+    thousands, low = divmod(n, 1000)
+    word = ""
+    if billions:
+        word += _spell_under_1000(billions, "eine") + (
+            "milliarde" if billions == 1 else "milliarden")
+    if millions:
+        word += _spell_under_1000(millions, "eine") + (
+            "million" if millions == 1 else "millionen")
+    if thousands:
+        word += _spell_under_1000(thousands, "ein") + "tausend"
+    return word + _spell_under_1000(low)
+
+
+# Every power of ten and its neighbours, and each scale's coefficients
+# of one, two and 999.
+_SCALE_BOUNDARIES = sorted(
+    {n for k in range(13) for n in (10 ** k - 1, 10 ** k, 10 ** k + 1)
+     if 0 <= n <= MAX_NUMBER}
+    | {c * 10 ** k + r for k in (3, 6, 9) for c in (1, 2, 999)
+       for r in (0, 1, 10 ** k - 1)})
+
+
+def test_spell_number_equals_composition_at_scale_boundaries():
+    for n in _SCALE_BOUNDARIES:
+        assert spell_number_de(n) == _spell_number_oracle(n), n
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, MAX_NUMBER))
+def test_spell_number_equals_composition(n):
+    assert spell_number_de(n) == _spell_number_oracle(n)
 
 
 @pytest.mark.parametrize("day,month,year,expected", [
@@ -308,7 +352,7 @@ def test_fast_steps_equal_reference_versions(data):
         max_size=8)))
     assert _expand_abbreviations(text, table) == \
         _expand_abbreviations_oracle(text, table)
-    assert _strip_punctuation(text) == _strip_punctuation_oracle(text)
+    assert text.translate(_PUNCT_MAP) == _strip_punctuation_oracle(text)
 
 
 # Reference tokenizer: one alternative per kind, DECIMAL tried before
@@ -384,3 +428,38 @@ def test_normalize_digit_free_and_idempotent(pieces):
     out = normalize_text("".join(pieces))
     assert not any(ch.isdigit() for ch in out)
     assert normalize_text(out) == out
+
+
+def _normalize_two_pass(text, table, cfg):
+    """normalize_text as first written: the digit map and the punctuation
+    map each in a pass of their own."""
+    text = unicodedata.normalize("NFC", text)
+    if cfg.expand_abbrev:
+        text = _expand_abbreviations(text, table)
+    if cfg.expand_dates or cfg.expand_numbers:
+        text = _expand_numeric(text, cfg)
+    if cfg.expand_numbers:
+        text = text.translate(_DIGIT_MAP)
+    if cfg.strip_punct:
+        text = text.translate(_PUNCT_MAP)
+    if cfg.lowercase:
+        text = text.lower()
+    return unicodedata.normalize("NFC", " ".join(text.split()))
+
+
+@pytest.mark.parametrize("expand_numbers", [True, False])
+@pytest.mark.parametrize("strip_punct", [True, False])
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(st.one_of(_TEXT, _FORM_PIECES, st.sampled_from(
+    ["3.10.2022", "1.000,5", "m²", "₂", "①", "٣", "\u2009", " "])),
+    max_size=6), others=st.tuples(st.booleans(), st.booleans(),
+                                  st.booleans()))
+def test_normalize_equals_two_pass_version(expand_numbers, strip_punct,
+                                           pieces, others):
+    expand_abbrev, lowercase, expand_dates = others
+    cfg = NormConfig(expand_abbrev, strip_punct, lowercase, expand_numbers,
+                     expand_dates)
+    text = "".join(pieces)
+    table = default_abbrev_table()
+    assert normalize_text(text, table, cfg) == \
+        _normalize_two_pass(text, table, cfg)

@@ -4,9 +4,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.corpus import Source, Utterance
 from slt_toolkit.stats import (
+    SliceStats,
     compare_stats,
     format_comparison_table,
     format_stats_table,
@@ -73,6 +75,40 @@ def test_against_brute_force_oracle():
         # Union vocabulary never exceeds the sum of the per-source parts.
         assert stats.total.vocabulary <= sum(
             s.vocabulary for s in stats.per_source.values())
+
+
+def _slice_oracle(utterances):
+    """A slice's statistics as first written: one Counter.update per
+    utterance."""
+    freqs = Counter()
+    seconds = 0.0
+    for utt in utterances:
+        freqs.update(utt.text.split())
+        if utt.duration_s is not None:
+            seconds += utt.duration_s
+    return SliceStats(len(utterances), seconds / 3600.0, len(freqs),
+                      sum(1 for f in freqs.values() if f == 1))
+
+
+# Words and the white space str.split() splits on besides " ": tab,
+# ideographic space, line separator, next line and file separator.
+_STATS_TEXT = st.lists(st.sampled_from(
+    ["a", "b", "ab", "ä", " ", "\t", "\u3000", "\u2028", "\u0085", "\x1c",
+     "\n"]), max_size=12).map("".join)
+_STATS_UTTERANCES = st.lists(st.tuples(
+    _STATS_TEXT, st.sampled_from(list(Source)),
+    st.none() | st.floats(0, 1e6)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_STATS_UTTERANCES)
+def test_vocab_stats_equal_per_utterance_counts(entries):
+    corpus = _corpus(entries)
+    stats = vocab_stats(corpus)
+    assert stats.total == _slice_oracle(corpus)
+    assert stats.per_source == {
+        source: _slice_oracle([u for u in corpus if u.source is source])
+        for source in Source if any(u.source is source for u in corpus)}
 
 
 def test_singletons_equal_vocab_minus_repeated_types():
