@@ -20,8 +20,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import Utterance, bundled_lines, function_words, json_field, \
-    json_object, jsonl_line, read_text, write_segments
+from .corpus import Checked, Utterance, bundled_lines, function_words, \
+    json_field, json_object, jsonl_line, read_text, write_segments
 
 
 class RuleName(Enum):
@@ -145,10 +145,27 @@ def strip_asterisk_spans(text: str) -> tuple[str, list[str]]:
     return _CUE_RUN_RE.sub(" ", text).strip(), matches
 
 
-class CleanConfig(NamedTuple):
-    status_patterns: tuple[str, ...] = DEFAULT_STATUS_PATTERNS
-    foreign_threshold: float = DEFAULT_FOREIGN_THRESHOLD
-    enabled: frozenset[RuleName] = frozenset(RuleName)
+class _CleanConfigFields(NamedTuple):
+    status_patterns: tuple[str, ...]
+    foreign_threshold: float
+    enabled: frozenset[RuleName]
+
+
+class CleanConfig(Checked, _CleanConfigFields):
+    """The rules to apply and their settings; no status pattern is empty,
+    since every text starts with ""."""
+    __slots__ = ()
+
+    def __new__(cls,
+                status_patterns: tuple[str, ...] = DEFAULT_STATUS_PATTERNS,
+                foreign_threshold: float = DEFAULT_FOREIGN_THRESHOLD,
+                enabled: frozenset[RuleName] = frozenset(RuleName)
+                ) -> "CleanConfig":
+        if "" in status_patterns:
+            raise ValueError(
+                "field 'status_patterns' must not hold an empty pattern")
+        return tuple.__new__(cls, (status_patterns, foreign_threshold,
+                                   enabled))
 
     @staticmethod
     def from_json(path: str | Path) -> "CleanConfig":
@@ -166,9 +183,6 @@ class CleanConfig(NamedTuple):
                 else frozenset(map(RuleName, rules))
             patterns = json_field(obj, "status_patterns", list,
                                   DEFAULT_STATUS_PATTERNS)
-            if "" in patterns:  # every text starts with ""
-                raise ValueError(
-                    "field 'status_patterns' must not hold an empty pattern")
             return CleanConfig(
                 patterns,
                 json_field(obj, "foreign_threshold", float,

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .corpus import CorpusError, jsonl_line, load_corpus, load_segments, \
     write_corpus, write_segments
-from .normalize import AbbrevTable, NormConfig, default_abbrev_table, \
-    normalize_text
+from .normalize import AbbrevTable, default_abbrev_table, normalize_text
 
 SCHEMA_VERSION = 1
 _INF = float("inf")
@@ -51,9 +49,8 @@ def _candidate(value: str) -> tuple[str, str]:
 
 def _stoplist(args):
     from . import metrics
-    path = args.stoplist or os.environ.get("SLT_STOPLIST")
-    if path:
-        return metrics.read_stop_words(path)
+    if args.stoplist:
+        return metrics.read_stop_words(args.stoplist)
     return metrics.default_stoplist()
 
 
@@ -108,8 +105,7 @@ def _cmd_normalize(args) -> None:
     segments = load_segments(args.input)
     table = AbbrevTable.from_tsv(args.abbrev) if args.abbrev \
         else default_abbrev_table()
-    cfg = NormConfig._make(getattr(args, f) for f in NormConfig._fields)
-    write_segments([normalize_text(line, table, cfg) for line in segments],
+    write_segments([normalize_text(line, table) for line in segments],
                    args.output)
 
 
@@ -208,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", type=_path, required=True)
     p.add_argument("--out", dest="output", type=_path, required=True)
     p.add_argument("--abbrev", type=_path, help="abbreviation table TSV")
-    for flag, field in zip(("abbrev", "punct", "lowercase", "numbers",
-                            "dates"), NormConfig._fields):
-        p.add_argument(f"--no-{flag}", dest=field, action="store_false")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("stats", help="vocabulary/singleton/hour statistics")

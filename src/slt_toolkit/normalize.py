@@ -1,12 +1,15 @@
 """Target-text normalization: abbreviations, dates, numbers, punctuation, case.
 
-Pipeline order is NFC -> abbreviations -> dates -> numbers -> punctuation
-and format-character strip -> lowercase -> whitespace collapse -> NFC. Dates
-go before plain numbers so that "3.10.2022" is expanded as a date instead of
-being shredded into integers. After one pass the output is NFC and contains
-no digits, no punctuation, symbol or format characters and no uppercase
-letters, which makes the pipeline idempotent. NFKC is not applied: it would
-turn the thin spaces inside grouped numbers into plain spaces.
+One fixed pipeline: NFC -> abbreviations -> dates and numbers -> one
+character map (punctuation and symbols to spaces, format characters out,
+non-decimal digits spelled) -> lowercase -> whitespace collapse -> NFC.
+Dates and numbers are matched by one pattern, dates first, so that
+"3.10.2022" is expanded as a date instead of being shredded into integers.
+After one pass the output is NFC and contains no digits, no punctuation,
+symbol or format characters and no uppercase letters, which makes the
+pipeline idempotent. An empty abbreviation table turns off abbreviation
+expansion. NFKC is not applied: it would turn the thin spaces inside
+grouped numbers into plain spaces.
 """
 
 from __future__ import annotations
@@ -89,14 +92,6 @@ def default_abbrev_table() -> AbbrevTable:
     return _table_from_lines(bundled_lines(name), name)
 
 
-class NormConfig(NamedTuple):
-    expand_abbrev: bool = True
-    strip_punct: bool = True
-    lowercase: bool = True
-    expand_numbers: bool = True
-    expand_dates: bool = True
-
-
 def _expand_abbreviations(text: str, table: AbbrevTable) -> str:
     if table.matcher is None:
         return text
@@ -151,61 +146,41 @@ class _CodePointMap(dict):
         return value
 
 
-# Unicode punctuation (P*) and symbols (S*) become spaces and format
-# characters (Cf: U+200B, U+00AD, U+2060, U+FEFF, ...) are deleted; letters
-# including umlauts and ß are untouched.
-_PUNCT_MAP = _CodePointMap(
-    lambda ch: " " if unicodedata.category(ch)[0] in "PS"
-    else "" if unicodedata.category(ch) == "Cf" else ch)
-
-# Digits that are not decimal (superscripts, subscripts, circled digits:
-# "²", "₂", "①") escape the \d of _NUMERIC_RE but are str.isdigit; each is
-# spelled as its own word.
-_DIGIT_MAP = _CodePointMap(
-    lambda ch: f" {spell_number_de(unicodedata.digit(ch))} "
-    if ch.isdigit() and not ch.isdecimal() else ch)
-
-# The character map applied after number expansion, by (expand_numbers,
-# strip_punct): with both on, one pass maps each character by the digit
-# map and the result by the punctuation map.
-_CHAR_MAPS = {
-    (True, True): _CodePointMap(
-        lambda ch: _DIGIT_MAP[ord(ch)].translate(_PUNCT_MAP)),
-    (True, False): _DIGIT_MAP,
-    (False, True): _PUNCT_MAP,
-}
+def _map_char(ch: str) -> str:
+    """Punctuation (P*) and symbols (S*) become spaces and format
+    characters (Cf: U+200B, U+00AD, U+2060, U+FEFF, ...) are deleted.
+    Digits that are not decimal (superscripts, subscripts, circled digits:
+    "²", "₂", "①") escape _NUMERIC_RE but are str.isdigit; each is spelled
+    as its own word. Letters, umlauts and ß included, stay."""
+    category = unicodedata.category(ch)
+    if category[0] in "PS":
+        return " "
+    if category == "Cf":
+        return ""
+    if ch.isdigit() and not ch.isdecimal():
+        return f" {spell_number_de(unicodedata.digit(ch))} "
+    return ch
 
 
-def _expand_numeric(text: str, cfg: NormConfig) -> str:
-    def repl(m: re.Match) -> str:
-        kind = m.lastgroup
-        if kind == "DATE":
-            if not cfg.expand_dates:
-                return m.group()
-            return _expand_date(m.group())
-        if not cfg.expand_numbers:
-            return m.group()
-        if kind == "DECIMAL":
-            return _expand_decimal(m.group())
-        return _spell_integer(_SEPARATORS_RE.sub("", m.group()))
-
-    return _NUMERIC_RE.sub(repl, text)
+_CHAR_MAP = _CodePointMap(_map_char)
 
 
-def normalize_text(text: str, table: AbbrevTable | None = None,
-                   cfg: NormConfig = NormConfig()) -> str:
+def _expand_numeric(m: re.Match) -> str:
+    """The words for one match of _NUMERIC_RE."""
+    kind = m.lastgroup
+    if kind == "DATE":
+        return _expand_date(m.group())
+    if kind == "DECIMAL":
+        return _expand_decimal(m.group())
+    return _spell_integer(_SEPARATORS_RE.sub("", m.group()))
+
+
+def normalize_text(text: str, table: AbbrevTable | None = None) -> str:
     if table is None:
         table = default_abbrev_table()
     text = unicodedata.normalize("NFC", text)
-    if cfg.expand_abbrev:
-        text = _expand_abbreviations(text, table)
-    if cfg.expand_dates or cfg.expand_numbers:
-        text = _expand_numeric(text, cfg)
-    char_map = _CHAR_MAPS.get((cfg.expand_numbers, cfg.strip_punct))
-    if char_map is not None:
-        text = text.translate(char_map)
-    if cfg.lowercase:
-        text = text.lower()
+    text = _expand_abbreviations(text, table)
+    text = _NUMERIC_RE.sub(_expand_numeric, text).translate(_CHAR_MAP)
     # A deleted format character or a spelled number can leave a combining
     # mark after a letter it now composes with.
-    return unicodedata.normalize("NFC", " ".join(text.split()))
+    return unicodedata.normalize("NFC", " ".join(text.lower().split()))

@@ -1,6 +1,9 @@
 """Tests for subtitle cleaning rules and language detection."""
 
 import random
+import re
+
+import pytest
 
 from slt_toolkit.cleaning import (
     CleanConfig,
@@ -170,6 +173,20 @@ def test_clean_config_from_json(tmp_path):
     cleaned, _ = clean_corpus(_corpus(["Nur dieses", "#bleibt jetzt"]),
                               cfg=cfg)
     assert [u.text for u in cleaned] == ["#bleibt jetzt"]
+
+
+_EMPTY_PATTERN = "field 'status_patterns' must not hold an empty pattern"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CleanConfig(status_patterns=("x", "")),
+    lambda: CleanConfig()._replace(status_patterns=("",)),
+], ids=["constructor", "replace"])
+def test_clean_config_rejects_empty_status_pattern(build):
+    """Every text starts with "": an empty pattern would drop every line
+    of punctuation only, so no config may hold one."""
+    with pytest.raises(ValueError, match=f"^{re.escape(_EMPTY_PATTERN)}$"):
+        build()
 
 
 def test_determinism():

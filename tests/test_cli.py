@@ -1,5 +1,6 @@
 """Tests for the slt command line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,8 +15,6 @@ from slt_toolkit.cli import main
 from slt_toolkit.corpus import load_corpus, load_segments
 from slt_toolkit.frameplan import MAX_FRAME_COUNT
 from slt_toolkit.itn import restore_display
-from slt_toolkit.normalize import NormConfig, default_abbrev_table, \
-    normalize_text
 from slt_toolkit.numbers_de import MAX_NUMBER, spell_number_de
 
 
@@ -94,6 +93,31 @@ def test_unknown_subcommand_exits_1(capsys):
     assert exc.value.code == 1
 
 
+# Every option of every subcommand, -h/--help aside. A change to this
+# table is a change to the CLI and belongs in CHANGES.md.
+_OPTIONS = {
+    "clean": {"--in", "--out", "--report", "--config"},
+    "normalize": {"--in", "--out", "--abbrev"},
+    "stats": {"--in", "--compare", "--json"},
+    "bleu": {"--hyp", "--ref", "--smoothing", "--json"},
+    "reduced-bleu": {"--hyp", "--ref", "--smoothing", "--json", "--stoplist",
+                     "--reduced-side"},
+    "select": {"--ref", "--hyp", "--stoplist", "--smoothing", "--json"},
+    "itn": {"--in", "--out"},
+    "plan": {"--manifest", "--frames", "--out", "--window", "--stride"},
+}
+
+
+def test_option_surface_is_pinned():
+    parser = cli.build_parser()
+    [commands] = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    found = {name: {option for action in sub._actions
+                    for option in action.option_strings} - {"-h", "--help"}
+             for name, sub in commands.items()}
+    assert found == _OPTIONS
+
+
 @pytest.mark.parametrize("args, message", [
     ([], "one of the arguments --manifest --frames is required"),
     (["--frames", "80", "--manifest", "{missing}"],
@@ -164,16 +188,6 @@ def test_reduced_bleu_delegates(seg, capsys):
         ["der hund bellt laut sehr gut"], ["die hund bellt laut sehr gut"],
         metrics.stop_words(["der", "die"]))
     assert payload == {"schema_version": 1} | expected.to_dict()
-
-
-def test_stoplist_env_override(seg, capsys, monkeypatch):
-    stops = seg("stops.txt", ["qqq"])
-    monkeypatch.setenv("SLT_STOPLIST", stops)
-    hyp = seg("h.txt", ["qqq hund"])
-    ref = seg("r.txt", ["hund"])
-    assert main(["reduced-bleu", "--hyp", hyp, "--ref", ref, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["score"] == pytest.approx(100.0)
 
 
 def test_select(seg, capsys):
@@ -253,29 +267,17 @@ def test_normalize_segments(tmp_path, seg):
         ["er zahlt zweiundvierzig franken", "hallo welt"]
 
 
-def test_normalize_no_numbers_flag(tmp_path, seg):
-    inp = seg("in.txt", ["42 Franken"])
+@pytest.mark.parametrize("flag", ["abbrev", "punct", "lowercase", "numbers",
+                                  "dates"])
+def test_normalize_no_flag_is_usage_error(tmp_path, seg, capsys, flag):
+    """normalize is one fixed pipeline: no step can be switched off."""
+    inp = seg("in.txt", ["Am 3.10.2022 kamen z.B. 42 Gäste."])
     out = tmp_path / "out.txt"
-    assert main(["normalize", "--in", inp, "--out", str(out),
-                 "--no-numbers"]) == 0
-    assert list(load_segments(out)) == ["42 franken"]
-
-
-_NORM_FLAGS = ["abbrev", "punct", "lowercase", "numbers", "dates"]
-
-
-@pytest.mark.parametrize("flag, field", zip(_NORM_FLAGS, NormConfig._fields))
-def test_normalize_no_flag_turns_off_its_step(tmp_path, seg, flag, field):
-    line = "Am 3.10.2022 kamen z.B. 42 Gäste."
-    inp = seg("in.txt", [line])
-    out, plain = tmp_path / "out.txt", tmp_path / "plain.txt"
-    assert main(["normalize", "--in", inp, "--out", str(out),
-                 f"--no-{flag}"]) == 0
-    assert main(["normalize", "--in", inp, "--out", str(plain)]) == 0
-    expected = normalize_text(line, default_abbrev_table(),
-                              NormConfig(**{field: False}))
-    assert list(load_segments(out)) == [expected]
-    assert list(load_segments(plain)) != [expected]
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--in", inp, "--out", str(out), f"--no-{flag}"])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: --no-{flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_normalize_empty_abbrev_table(tmp_path, seg):
@@ -591,19 +593,15 @@ def test_clean_config_empty_status_pattern_is_data_error(tmp_path, capsys,
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("command", ["stoplist", "env", "abbrev"])
-def test_non_utf8_list_file_named(tmp_path, seg, capsys, monkeypatch,
-                                  command):
+@pytest.mark.parametrize("command", ["stoplist", "abbrev"])
+def test_non_utf8_list_file_named(tmp_path, seg, capsys, command):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"der\n\xff\n")
     hyp, ref = seg("h.txt", ["der hund"]), seg("r.txt", ["der hund"])
     argv = {"stoplist": ["reduced-bleu", "--hyp", hyp, "--ref", ref,
                          "--stoplist", str(bad)],
-            "env": ["reduced-bleu", "--hyp", hyp, "--ref", ref],
             "abbrev": ["normalize", "--in", hyp, "--out",
                        str(tmp_path / "out.txt"), "--abbrev", str(bad)]}
-    if command == "env":
-        monkeypatch.setenv("SLT_STOPLIST", str(bad))
     assert main(argv[command]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: {bad}: line 2: not valid UTF-8")

@@ -17,10 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.normalize import (
     AbbrevTable,
-    NormConfig,
-    _DIGIT_MAP,
+    _CHAR_MAP,
     _NUMERIC_RE,
-    _PUNCT_MAP,
     _expand_abbreviations,
     _expand_numeric,
     default_abbrev_table,
@@ -288,9 +286,6 @@ def test_normalize_output_is_clean_and_idempotent():
 def test_normalize_non_decimal_digits_spelled():
     assert normalize_text("34 m²") == "vierunddreißig m zwei"
     assert normalize_text("CO₂ und ① ²³") == "co zwei und eins zwei drei"
-    no_numbers = NormConfig(expand_numbers=False)
-    assert normalize_text("42 Franken", cfg=no_numbers) == "42 franken"
-    assert normalize_text("34 m²", cfg=no_numbers) == "34 m²"
     every = [chr(cp) for cp in range(sys.maxunicode + 1)
              if chr(cp).isdigit() and not chr(cp).isdecimal()]
     assert len(every) == 128
@@ -315,8 +310,8 @@ def test_default_abbrev_table_shared_and_read_only():
     assert dict(own.entries) == {"Mrd.": "Milliarden"}
 
 
-# Reference versions of the abbreviation and punctuation steps, one regex
-# alternative and one category lookup per character.
+# Reference versions of the abbreviation, punctuation and digit steps, one
+# regex alternative and one category lookup per character.
 def _expand_abbreviations_oracle(text, table):
     keys = sorted(table.entries, key=len, reverse=True)
     pattern = re.compile(
@@ -328,6 +323,12 @@ def _strip_punctuation_oracle(text):
     categories = [unicodedata.category(ch) for ch in text]
     return "".join(" " if cat[0] in "PS" else "" if cat == "Cf" else ch
                    for ch, cat in zip(text, categories))
+
+
+def _spell_digits_oracle(text):
+    return "".join(f" {spell_number_de(unicodedata.digit(ch))} "
+                   if ch.isdigit() and not ch.isdecimal() else ch
+                   for ch in text)
 
 
 _ANY_CHAR = st.characters(blacklist_categories=("Cs",))
@@ -352,7 +353,9 @@ def test_fast_steps_equal_reference_versions(data):
         max_size=8)))
     assert _expand_abbreviations(text, table) == \
         _expand_abbreviations_oracle(text, table)
-    assert text.translate(_PUNCT_MAP) == _strip_punctuation_oracle(text)
+    # Without non-decimal digits the character map is the punctuation step.
+    text = "".join(ch for ch in text if ch.isdecimal() or not ch.isdigit())
+    assert text.translate(_CHAR_MAP) == _strip_punctuation_oracle(text)
 
 
 # Reference tokenizer: one alternative per kind, DECIMAL tried before
@@ -430,36 +433,23 @@ def test_normalize_digit_free_and_idempotent(pieces):
     assert normalize_text(out) == out
 
 
-def _normalize_two_pass(text, table, cfg):
+def _normalize_two_pass(text, table):
     """normalize_text as first written: the digit map and the punctuation
     map each in a pass of their own."""
     text = unicodedata.normalize("NFC", text)
-    if cfg.expand_abbrev:
-        text = _expand_abbreviations(text, table)
-    if cfg.expand_dates or cfg.expand_numbers:
-        text = _expand_numeric(text, cfg)
-    if cfg.expand_numbers:
-        text = text.translate(_DIGIT_MAP)
-    if cfg.strip_punct:
-        text = text.translate(_PUNCT_MAP)
-    if cfg.lowercase:
-        text = text.lower()
+    text = _expand_abbreviations(text, table)
+    text = _NUMERIC_RE.sub(_expand_numeric, text)
+    text = _spell_digits_oracle(text)
+    text = _strip_punctuation_oracle(text)
+    text = text.lower()
     return unicodedata.normalize("NFC", " ".join(text.split()))
 
 
-@pytest.mark.parametrize("expand_numbers", [True, False])
-@pytest.mark.parametrize("strip_punct", [True, False])
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=800, deadline=None)
 @given(pieces=st.lists(st.one_of(_TEXT, _FORM_PIECES, st.sampled_from(
     ["3.10.2022", "1.000,5", "m²", "₂", "①", "٣", "\u2009", " "])),
-    max_size=6), others=st.tuples(st.booleans(), st.booleans(),
-                                  st.booleans()))
-def test_normalize_equals_two_pass_version(expand_numbers, strip_punct,
-                                           pieces, others):
-    expand_abbrev, lowercase, expand_dates = others
-    cfg = NormConfig(expand_abbrev, strip_punct, lowercase, expand_numbers,
-                     expand_dates)
+    max_size=6), empty_table=st.booleans())
+def test_normalize_equals_two_pass_version(pieces, empty_table):
     text = "".join(pieces)
-    table = default_abbrev_table()
-    assert normalize_text(text, table, cfg) == \
-        _normalize_two_pass(text, table, cfg)
+    table = AbbrevTable({}) if empty_table else default_abbrev_table()
+    assert normalize_text(text, table) == _normalize_two_pass(text, table)

@@ -13,7 +13,7 @@ from slt_toolkit.corpus import CorpusError, Source, Utterance
 from slt_toolkit.frameplan import WindowPlan, WindowSpec
 from slt_toolkit.metrics import BleuScore, CandidateScores, \
     SelectionReport, stop_words
-from slt_toolkit.normalize import AbbrevTable, NormConfig
+from slt_toolkit.normalize import AbbrevTable
 from slt_toolkit.stats import CorpusStats, FieldDelta, SliceStats
 
 _BLEU = BleuScore(50.0, (0.5, 0.5, 0.5, 1.0), 1.0, 4, 4)
@@ -32,9 +32,6 @@ RECORDS = [
      ("foreign_threshold", 0.3)),
     (AbbrevTable, dict(entries={"Mrd.": "Milliarden"}),
      ("entries", {"Mio.": "Millionen"})),
-    (NormConfig, dict(expand_abbrev=True, strip_punct=False, lowercase=True,
-                      expand_numbers=True, expand_dates=True),
-     ("lowercase", False)),
     (BleuScore, dict(score=50.0, precisions=(0.5, 0.5, 0.5, 1.0),
                      brevity_penalty=1.0, hyp_len=4, ref_len=4),
      ("hyp_len", 5)),

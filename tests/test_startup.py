@@ -25,7 +25,7 @@ EXPORTS = {
                "write_corpus", "write_segments"],
     "cleaning": ["CleanConfig", "CleanOutcome", "Verdict", "clean_corpus",
                  "detect_language", "match_status_message"],
-    "normalize": ["AbbrevTable", "NormConfig", "normalize_text"],
+    "normalize": ["AbbrevTable", "normalize_text"],
     "numbers_de": ["parse_number_de", "spell_date_de", "spell_number_de"],
     "itn": ["contract_numbers_de", "restore_display"],
     "metrics": ["BleuScore", "bleu", "count_stopwords", "default_stoplist",
