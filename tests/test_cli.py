@@ -267,17 +267,45 @@ def test_normalize_segments(tmp_path, seg):
         ["er zahlt zweiundvierzig franken", "hallo welt"]
 
 
-@pytest.mark.parametrize("flag", ["abbrev", "punct", "lowercase", "numbers",
-                                  "dates"])
-def test_normalize_no_flag_is_usage_error(tmp_path, seg, capsys, flag):
-    """normalize is one fixed pipeline: no step can be switched off."""
-    inp = seg("in.txt", ["Am 3.10.2022 kamen z.B. 42 Gäste."])
-    out = tmp_path / "out.txt"
+def _normalize_rejects(tmp_path, capsys, inp, flag):
+    out = tmp_path / "rejected.txt"
     with pytest.raises(SystemExit) as exc:
-        main(["normalize", "--in", inp, "--out", str(out), f"--no-{flag}"])
+        main(["normalize", "--in", inp, "--out", str(out), flag])
     assert exc.value.code == 1
-    assert f"unrecognized arguments: --no-{flag}" in capsys.readouterr().err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_normalize_no_numbers_flag(tmp_path, seg, capsys):
+    """Digits are always spelled, non-decimal ones too: --no-numbers is a
+    usage error."""
+    inp = seg("in.txt", ["42 Franken", "34 m²"])
+    _normalize_rejects(tmp_path, capsys, inp, "--no-numbers")
+    out = tmp_path / "out.txt"
+    assert main(["normalize", "--in", inp, "--out", str(out)]) == 0
+    assert list(load_segments(out)) == \
+        ["zweiundvierzig franken", "vierunddreißig m zwei"]
+
+
+@pytest.mark.parametrize("flag, line, expected", [
+    ("abbrev", "z.B. hier", "zum beispiel hier"),
+    ("punct", "Hallo, Welt!", "hallo welt"),
+    ("lowercase", "Große Gäste", "große gäste"),
+    ("numbers", "42 Gäste", "zweiundvierzig gäste"),
+    ("dates", "am 3.10.2022", "am dritter oktober zweitausendzweiundzwanzig"),
+], ids=["abbrev-expand_abbrev", "punct-strip_punct", "lowercase-lowercase",
+        "numbers-expand_numbers", "dates-expand_dates"])
+def test_normalize_no_flag_turns_off_its_step(tmp_path, seg, capsys, flag,
+                                              line, expected):
+    """Each former --no-* flag turned off the step in its case id. normalize
+    is one fixed pipeline now: the flag is a usage error and the step runs
+    on every line."""
+    inp = seg("in.txt", [line])
+    _normalize_rejects(tmp_path, capsys, inp, f"--no-{flag}")
+    out = tmp_path / "out.txt"
+    assert main(["normalize", "--in", inp, "--out", str(out)]) == 0
+    assert list(load_segments(out)) == [expected]
 
 
 def test_normalize_empty_abbrev_table(tmp_path, seg):

@@ -445,11 +445,15 @@ def _normalize_two_pass(text, table):
     return unicodedata.normalize("NFC", " ".join(text.split()))
 
 
-@settings(max_examples=800, deadline=None)
+@pytest.mark.parametrize("decomposed", [True, False])
+@pytest.mark.parametrize("empty_table", [True, False])
+@settings(max_examples=200, deadline=None)
 @given(pieces=st.lists(st.one_of(_TEXT, _FORM_PIECES, st.sampled_from(
     ["3.10.2022", "1.000,5", "m²", "₂", "①", "٣", "\u2009", " "])),
-    max_size=6), empty_table=st.booleans())
-def test_normalize_equals_two_pass_version(pieces, empty_table):
+    max_size=6))
+def test_normalize_equals_two_pass_version(decomposed, empty_table, pieces):
     text = "".join(pieces)
+    if decomposed:
+        text = unicodedata.normalize("NFD", text)
     table = AbbrevTable({}) if empty_table else default_abbrev_table()
     assert normalize_text(text, table) == _normalize_two_pass(text, table)
