@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import re
 
-from .numbers_de import NUMBER_PIECES, NUMBER_START_PIECES, parse_number_de
+from .numbers_de import NUMBER_PIECES, NUMBER_START_PIECES, _SCALES, \
+    parse_number_de
 
 # Longest run of adjacent tokens tried as one spelled number ("zwei
-# millionen" as well as the joined "zweimillionen").
-_MAX_RUN = 4
+# millionen" as well as the joined "zweimillionen"): split after each
+# scale word, every scale and tausend give a coefficient and the scale word,
+# and the last group adds one token ("zwei milliarden drei millionen vier
+# tausend fünf").
+_MAX_RUN = 2 * (len(_SCALES) + 1) + 1
 
 # Exact preconditions for parse_number_de, so that tokens no number word
 # can start with or contain are never joined and parsed. A run starts only

@@ -1,8 +1,9 @@
 """Tests for inverse text normalization (number contraction, display form)."""
 
+import re
 from itertools import chain
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slt_toolkit import itn
 from slt_toolkit.itn import (
@@ -35,6 +36,32 @@ def test_contract_in_context():
 
 def test_contract_multi_token_run():
     assert contract_numbers_de("zwei millionen menschen") == "2000000 menschen"
+
+
+def test_split_number_is_not_cut():
+    assert contract_numbers_de(
+        "rund zweihundertfünfundsechzig millionen neun tausend sechs tonnen"
+    ) == "rund 265009006 tonnen"
+
+
+# Adjacent numbers are one run: a known limit.
+def test_adjacent_numbers_merge():
+    assert contract_numbers_de("drei hundert zwei") == "302"
+
+
+_SCALE_WORD_RE = re.compile(r"(milliarden?|million(?:en)?|tausend)")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.integers(0, 10 ** 6), st.integers(0, MAX_NUMBER)))
+@example(MAX_NUMBER)
+@example(1_001_001_001)
+def test_split_spelling_contracts_whole(n):
+    """Any number spelled with a space before and after each scale word, as
+    ASR output writes it, contracts to its digits."""
+    split = _SCALE_WORD_RE.sub(r" \1 ", spell_number_de(n)).strip()
+    assert contract_numbers_de(split) == str(n)
+    assert contract_numbers_de(f"rund {split} menschen") == f"rund {n} menschen"
 
 
 def test_article_ein_left_alone():
@@ -141,7 +168,7 @@ def _contract_reference(text):
     while i < len(tokens):
         best_len = 0
         best_value = None
-        for j in range(i, min(i + 4, len(tokens))):
+        for j in range(i, min(i + itn._MAX_RUN, len(tokens))):
             value = parse_number_de("".join(tokens[i:j + 1]))
             if value is not None:
                 best_len = j - i + 1

@@ -6,13 +6,19 @@ with the textbook formula.
 """
 
 import math
+import os
 import random
+import threading
+import time
 from collections import Counter
 from itertools import chain
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slt_toolkit import metrics
 from slt_toolkit.metrics import (
     ScoringError,
     _accumulate,
@@ -152,6 +158,20 @@ def test_bleu_length_mismatch():
 def test_bleu_empty_reference():
     with pytest.raises(ScoringError, match="empty"):
         bleu([""], [""])
+
+
+def test_unknown_smoothing_or_side_is_an_error():
+    stops = default_stoplist()
+    with pytest.raises(ValueError, match="smoothing .*'EXP'"):
+        bleu(["a b c d"], ["a b c e"], smoothing="EXP")
+    with pytest.raises(ValueError, match="smoothing .*'Exp'"):
+        reduced_bleu(["hund bellt"], ["der hund bellt"], stops, "Exp")
+    with pytest.raises(ValueError, match="side .*'Both'"):
+        reduced_bleu(["hund bellt laut heute nacht im garten"],
+                     ["der hund bellt laut heute nacht im garten"], stops,
+                     side="Both")
+    with pytest.raises(ValueError, match="smoothing .*'EXP'"):
+        select_checkpoint([("a", ["hund"])], ["hund"], stops, "EXP")
 
 
 def test_stoplist_integrity():
@@ -297,12 +317,21 @@ def _selection_inputs(draw):
     return refs, candidates
 
 
+def _shards(k):
+    """Force ``k`` shards in ``_accumulate``, which keeps small inputs in
+    one process on its own."""
+    return patch.object(metrics, "_shard_count", lambda work: k)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_selection_inputs(), st.sampled_from(["none", "exp"]))
 def test_select_scores_equal_standalone_and_oracle(inputs, smoothing):
     refs, candidates = inputs
     stops = default_stoplist()
     report = select_checkpoint(candidates, refs, stops, smoothing)
+    with _shards(3):
+        assert select_checkpoint(candidates, refs, stops, smoothing) == \
+            report
     assert [c.name for c in report.candidates] == [n for n, _ in candidates]
 
     def strip(lines):
@@ -323,6 +352,8 @@ def test_select_scores_equal_standalone_and_oracle(inputs, smoothing):
             oracle_bleu(strip(hyps), refs, smoothing), abs=1e-9)
     bad = ("bad", candidates[0][1] + ["hund"])
     with pytest.raises(ScoringError, match="candidate 'bad'"):
+        select_checkpoint(candidates + [bad], refs, stops, smoothing)
+    with _shards(3), pytest.raises(ScoringError, match="candidate 'bad'"):
         select_checkpoint(candidates + [bad], refs, stops, smoothing)
 
 
@@ -437,10 +468,12 @@ def test_accumulate_scores_each_candidate_as_its_own_loop(inputs):
     refs, hyp_sets = inputs
     stops = default_stoplist()
     views = [(frozenset(), frozenset()), (stops, stops)]
-    stats = _accumulate(
-        [(f"c{i}", [" ".join(hyp) for hyp in hyps])
-         for i, hyps in enumerate(hyp_sets)],
-        [" ".join(ref) for ref in refs], views)
+    labelled = [(f"c{i}", [" ".join(hyp) for hyp in hyps])
+                for i, hyps in enumerate(hyp_sets)]
+    ref_lines = [" ".join(ref) for ref in refs]
+    stats = _accumulate(labelled, ref_lines, views)
+    with _shards(3):
+        assert _accumulate(labelled, ref_lines, views) == stats
 
     def strip(tokens, words):
         return [t for t in tokens if t.lower() not in words]
@@ -451,3 +484,116 @@ def test_accumulate_scores_each_candidate_as_its_own_loop(inputs):
             pairs = [(strip(hyp, hyp_words), strip(ref, ref_words))
                      for hyp, ref in zip(hyps, refs)]
             assert _stats_tuple(entry) == _loop_stats(pairs)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _select_inputs(seed):
+    rng = random.Random(seed)
+    refs = _random_corpus(rng, max_segments=40)
+    return [(f"c{i}", [_random_corpus(rng, 1)[0] for _ in refs])
+            for i in range(3)], refs
+
+
+def test_sharded_select_reaps_every_child():
+    candidates, refs = _select_inputs(1)
+    serial = select_checkpoint(candidates, refs, default_stoplist())
+    with _shards(3):
+        assert select_checkpoint(candidates, refs,
+                                 default_stoplist()) == serial
+    _no_child_left()
+
+
+def test_shard_of_empty_references_is_no_error():
+    hyps, refs = ["x", "y", "a b"], ["", "", "a b"]
+    serial = bleu(hyps, refs)
+    with _shards(3):
+        assert bleu(hyps, refs) == serial
+        with pytest.raises(ScoringError, match="empty"):
+            bleu(["x", "y", "z"], ["", " ", ""])
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raise", "truncate", "no fork"])
+def test_failed_child_shard_is_scored_here(failure):
+    """A child that raises, whose data does not load or that cannot start
+    has its shard scored by the parent."""
+    candidates, refs = _select_inputs(2)
+    serial = select_checkpoint(candidates, refs, default_stoplist())
+    parent, sums, marshal = os.getpid(), metrics._sums, metrics.marshal
+
+    def child_sums(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child fails")
+        return sums(*args)
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    short = SimpleNamespace(dumps=lambda value: marshal.dumps(value)[:-1],
+                            loads=marshal.loads)
+    failures = {"raise": patch.object(metrics, "_sums", child_sums),
+                "truncate": patch.object(metrics, "marshal", short),
+                "no fork": patch.object(os, "fork", no_fork)}
+    with _shards(3), failures[failure]:
+        assert select_checkpoint(candidates, refs,
+                                 default_stoplist()) == serial
+    _no_child_left()
+
+
+def test_parent_error_kills_and_reaps_children():
+    candidates, refs = _select_inputs(3)
+    parent, sums = os.getpid(), metrics._sums
+
+    def stuck_sums(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+            return sums(*args)
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with _shards(3), patch.object(metrics, "_sums", stuck_sums), \
+            pytest.raises(KeyboardInterrupt):
+        select_checkpoint(candidates, refs, default_stoplist())
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_shard_count_follows_cpus_and_work(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    least = metrics._MIN_SHARD_WORK
+    assert [metrics._shard_count(w) for w in
+            (0, least - 1, least, 2 * least, 10 ** 9)] == [1, 1, 1, 2, 3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert metrics._shard_count(10 ** 9) == 1
+    monkeypatch.delattr(os, "fork")
+    assert metrics._shard_count(10 ** 9) == 1
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    candidates, refs = _select_inputs(4)
+    serial = select_checkpoint(candidates, refs, default_stoplist())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(metrics, "_MIN_SHARD_WORK", 1)
+    assert metrics._shard_count(10 ** 9) == 3
+
+    def fork():
+        raise AssertionError("forked beside a running thread")
+
+    monkeypatch.setattr(os, "fork", fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert metrics._shard_count(10 ** 9) == 1
+        assert select_checkpoint(candidates, refs,
+                                 default_stoplist()) == serial
+    finally:
+        done.set()
+        thread.join()
