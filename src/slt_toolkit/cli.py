@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 from .corpus import CorpusError, jsonl_line, load_corpus, load_segments, \
@@ -85,6 +86,15 @@ def _corpus_stats(path):
     return result
 
 
+def _map_lines(func, lines: tuple[str, ...], *consts) -> list[str]:
+    """``func(line, *consts)`` of every line, in order, computed in forked
+    shards on large inputs (see ``shards.forked_map``)."""
+    from .shards import forked_map
+    fixed = [*map(repeat, consts)]
+    parts = forked_map(lambda shard: [*map(func, shard, *fixed)], lines)
+    return [*chain.from_iterable(parts)]
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps({"schema_version": SCHEMA_VERSION} | payload))
 
@@ -105,8 +115,7 @@ def _cmd_normalize(args) -> None:
     segments = load_segments(args.input)
     table = AbbrevTable.from_tsv(args.abbrev) if args.abbrev \
         else default_abbrev_table()
-    write_segments([normalize_text(line, table) for line in segments],
-                   args.output)
+    write_segments(_map_lines(normalize_text, segments, table), args.output)
 
 
 def _cmd_stats(args) -> None:
@@ -168,8 +177,7 @@ def _cmd_select(args) -> None:
 def _cmd_itn(args) -> None:
     from . import itn
     segments = load_segments(args.input)
-    write_segments([itn.restore_display(line) for line in segments],
-                   args.output)
+    write_segments(_map_lines(itn.restore_display, segments), args.output)
 
 
 def _cmd_plan(args) -> None:

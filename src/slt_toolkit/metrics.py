@@ -9,19 +9,13 @@ are assumed pre-normalized; scores sum per-segment sufficient statistics.
 Reduced BLEU deletes blacklisted stop/function words from both sides
 before scoring (``side="hyp"`` preserves the hypothesis-only reading).
 
-On large inputs the segments are scored in contiguous shards, one forked
-process per usable CPU, and the integer statistics of the shards are
-added; scores are identical to a serial run. Scoring stays in one process
-where ``os.fork`` is missing, on one CPU, on small inputs and when the
-caller runs another thread.
+Large inputs are scored in forked shards (``shards.forked_map``); README.md
+says when.
 """
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
-import sys
 from collections import Counter
 from functools import cache
 from itertools import chain
@@ -118,9 +112,8 @@ def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
     view (the words deleted from hypothesis and reference), walking the
     references one segment at a time and scoring every set against it in one
     step. Only an empty unreduced reference side is an error. The segments
-    are split into contiguous shards, scored in forked processes when
-    ``_shard_count`` allows more than one; the sums are integers, so they
-    are the same in any split."""
+    are scored in ``forked_map`` shards; the sums are integers, so they are
+    the same in any split."""
     ref_lines = list(refs)
     hyp_sets = [list(hyps) for _, hyps in labelled]
     for (label, _), hyp_lines in zip(labelled, hyp_sets):
@@ -129,13 +122,17 @@ def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
                                f"segments vs {len(ref_lines)} references")
     if not any(line.split() for line in ref_lines):
         raise ScoringError("reference corpus is empty")
+    from .shards import forked_map
     # Per view: NGRAM_ORDER matches and totals per set, and the ref length.
     width = NGRAM_ORDER * len(hyp_sets)
     rows = [*zip(ref_lines, *hyp_sets)]
-    k = _shard_count(len(rows) * len(hyp_sets) * len(views))
-    cuts = [len(rows) * i // k for i in range(k + 1)]
-    shards = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
-    sums = _sharded_sums(shards, views, width)
+    sums, *rest = forked_map(lambda shard: _sums(shard, views, width), rows,
+                             len(hyp_sets) * len(views))
+    for part in rest:
+        for row, (matches, totals, ref_len) in zip(sums, part):
+            row[0] = [*map(add, row[0], matches)]
+            row[1] = [*map(add, row[1], totals)]
+            row[2] += ref_len
     return [[(matches[i:i + NGRAM_ORDER], totals[i:i + NGRAM_ORDER], ref_len)
              for i in range(0, width, NGRAM_ORDER)]
             for matches, totals, ref_len in sums]
@@ -172,100 +169,6 @@ def _sums(rows: Sequence[tuple[str, ...]],
             row[1] = [*map(add, row[1], map(len, grams))]
             row[2] += len(kept)
     return sums
-
-
-# Work is segments x hypothesis sets x views, and a shard gets at least
-# this much. Measured on 2 vCPUs (Linux 6.18, CPython 3.11) with the select
-# benchmark's inputs cut to n segments: a unit takes about 9 us, and a fork,
-# pipe and waitpid about 0.9 ms. Two shards of 500 units took 6.0 ms
-# against 9.0 ms serially, two of 250 took 3.4 against 4.4 ms, and two of
-# 125 took 2.3 against 2.1 ms.
-_MIN_SHARD_WORK = 500
-
-
-def _shard_count(work: int) -> int:
-    """How many processes score ``work`` units: one per usable CPU, at most
-    one per ``_MIN_SHARD_WORK``, and one where forking is unavailable or
-    unsafe (another thread is running, which the child would not have)."""
-    if not hasattr(os, "fork"):
-        return 1
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, work // _MIN_SHARD_WORK))
-
-
-def _sharded_sums(shards: list[list], views: Sequence,
-                  width: int) -> list[list]:
-    """``_sums`` of all shards, added up. Every shard after the first is
-    scored in a forked child that sends its sums through a pipe, the first
-    one here. A shard whose child cannot start, fails or sends what does not
-    load is scored here too, so the sums never depend on a child. Every
-    child is reaped, and if this process raises it is killed first."""
-    parts = []
-    reads = []  # the read end of every pipe, closed on the way out
-    children = {}  # pid -> (read end, shard) until the child is reaped
-    try:
-        for shard in shards[1:]:
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare
-                os.close(write)
-                parts.append(_sums(shard, views, width))
-                continue
-            if pid == 0:
-                _send_sums(shard, views, width, write)
-            os.close(write)
-            children[pid] = (read, shard)
-        parts.append(_sums(shards[0], views, width))
-        for pid, (read, shard) in [*children.items()]:
-            data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            part = None
-            if status == 0:
-                try:
-                    part = marshal.loads(data)
-                except (EOFError, ValueError, TypeError):
-                    pass
-            parts.append(part or _sums(shard, views, width))
-    except BaseException:
-        from signal import SIGKILL
-        for pid in children:
-            os.kill(pid, SIGKILL)
-        raise
-    finally:
-        for read in reads:
-            os.close(read)
-        for pid in children:
-            os.waitpid(pid, 0)
-    total, *rest = parts
-    for part in rest:
-        for row, (matches, totals, ref_len) in zip(total, part):
-            row[0] = [*map(add, row[0], matches)]
-            row[1] = [*map(add, row[1], totals)]
-            row[2] += ref_len
-    return total
-
-
-def _send_sums(shard: list, views: Sequence, width: int, write: int):
-    """The body of a forked child: write the shard's marshalled sums to the
-    pipe and exit, 0 once all are written and 1 on any exception, without
-    returning into the caller's stack or running its clean-up."""
-    code = 1
-    try:
-        data = memoryview(marshal.dumps(_sums(shard, views, width)))
-        while data:
-            data = data[os.write(write, data):]
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuScore:

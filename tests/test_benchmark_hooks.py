@@ -78,3 +78,11 @@ def test_setup_probe_skips_heavy_stdlib_modules():
     after_imports, after_probe = _loaded(_PROBE)
     assert set(after_imports) <= set(bare)
     assert set(after_probe) <= set(bare)
+
+
+def test_setup_probe_does_not_compile_the_fork_code():
+    """The fork, pipe and reap code is imported by the calls that shard,
+    never on the way to the first input line."""
+    probe = _PROBE + _LOADED.format(heavy=("slt_toolkit.shards",))
+    *_, after_probe = _loaded(probe)
+    assert after_probe == []

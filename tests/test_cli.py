@@ -4,17 +4,19 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slt_toolkit import cli, metrics
+from slt_toolkit import cli, metrics, shards
 from slt_toolkit.cli import main
 from slt_toolkit.corpus import load_corpus, load_segments
 from slt_toolkit.frameplan import MAX_FRAME_COUNT
 from slt_toolkit.itn import restore_display
+from slt_toolkit.normalize import default_abbrev_table, normalize_text
 from slt_toolkit.numbers_de import MAX_NUMBER, spell_number_de
 
 
@@ -331,6 +333,35 @@ def test_itn_drops_a_leading_bom(tmp_path):
     out = tmp_path / "out.txt"
     assert main(["itn", "--in", str(inp), "--out", str(out)]) == 0
     assert out.read_bytes() == b"2000000.\n"
+
+
+# Mixed lengths, blank and whitespace-only lines, numbers and abbreviations.
+_LINE_INPUT = [
+    "das kostet zweiundvierzig franken", "", "   ",
+    "zweihundertfünfundsechzig millionen neun tausend sechs", "\t", "a",
+    "Er zahlt 42 Franken am 3.10.2022, z.B. hier.", " hallo  welt ",
+    "eins zwei drei vier " * 12, "Große Gäste", "",
+    "neunzehnhundertneunundneunzig", "drei hundert zwei",
+]
+
+
+@pytest.mark.parametrize("command", ["itn", "normalize"])
+def test_sharded_line_commands_write_identical_files(tmp_path, seg,
+                                                     monkeypatch, command):
+    """With 1, 2 or 3 forced shards the output bytes are those of the
+    serial map, and no child is left after the command."""
+    inp = seg("in.txt", _LINE_INPUT)
+    table = default_abbrev_table()
+    line = {"itn": restore_display,
+            "normalize": lambda text: normalize_text(text, table)}[command]
+    serial = "".join(line(text) + "\n" for text in _LINE_INPUT)
+    for k in (1, 2, 3):
+        monkeypatch.setattr(shards, "_shard_count", lambda work: k)
+        out = tmp_path / f"out{k}.txt"
+        assert main([command, "--in", inp, "--out", str(out)]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert out.read_bytes() == serial.encode("utf-8")
 
 
 def test_stats_reads_a_bom_prefixed_corpus(tmp_path, capsys):

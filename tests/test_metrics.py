@@ -8,17 +8,14 @@ with the textbook formula.
 import math
 import os
 import random
-import threading
-import time
 from collections import Counter
 from itertools import chain
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slt_toolkit import metrics
+from slt_toolkit import shards
 from slt_toolkit.metrics import (
     ScoringError,
     _accumulate,
@@ -320,7 +317,7 @@ def _selection_inputs(draw):
 def _shards(k):
     """Force ``k`` shards in ``_accumulate``, which keeps small inputs in
     one process on its own."""
-    return patch.object(metrics, "_shard_count", lambda work: k)
+    return patch.object(shards, "_shard_count", lambda work: k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -515,85 +512,3 @@ def test_shard_of_empty_references_is_no_error():
         with pytest.raises(ScoringError, match="empty"):
             bleu(["x", "y", "z"], ["", " ", ""])
     _no_child_left()
-
-
-@pytest.mark.parametrize("failure", ["raise", "truncate", "no fork"])
-def test_failed_child_shard_is_scored_here(failure):
-    """A child that raises, whose data does not load or that cannot start
-    has its shard scored by the parent."""
-    candidates, refs = _select_inputs(2)
-    serial = select_checkpoint(candidates, refs, default_stoplist())
-    parent, sums, marshal = os.getpid(), metrics._sums, metrics.marshal
-
-    def child_sums(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("child fails")
-        return sums(*args)
-
-    def no_fork():
-        raise BlockingIOError("no process to spare")
-
-    short = SimpleNamespace(dumps=lambda value: marshal.dumps(value)[:-1],
-                            loads=marshal.loads)
-    failures = {"raise": patch.object(metrics, "_sums", child_sums),
-                "truncate": patch.object(metrics, "marshal", short),
-                "no fork": patch.object(os, "fork", no_fork)}
-    with _shards(3), failures[failure]:
-        assert select_checkpoint(candidates, refs,
-                                 default_stoplist()) == serial
-    _no_child_left()
-
-
-def test_parent_error_kills_and_reaps_children():
-    candidates, refs = _select_inputs(3)
-    parent, sums = os.getpid(), metrics._sums
-
-    def stuck_sums(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-            return sums(*args)
-        raise KeyboardInterrupt
-
-    start = time.monotonic()
-    with _shards(3), patch.object(metrics, "_sums", stuck_sums), \
-            pytest.raises(KeyboardInterrupt):
-        select_checkpoint(candidates, refs, default_stoplist())
-    assert time.monotonic() - start < 30
-    _no_child_left()
-
-
-def test_shard_count_follows_cpus_and_work(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
-    least = metrics._MIN_SHARD_WORK
-    assert [metrics._shard_count(w) for w in
-            (0, least - 1, least, 2 * least, 10 ** 9)] == [1, 1, 1, 2, 3]
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert metrics._shard_count(10 ** 9) == 1
-    monkeypatch.delattr(os, "fork")
-    assert metrics._shard_count(10 ** 9) == 1
-
-
-def test_no_fork_while_another_thread_runs(monkeypatch):
-    candidates, refs = _select_inputs(4)
-    serial = select_checkpoint(candidates, refs, default_stoplist())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
-    monkeypatch.setattr(metrics, "_MIN_SHARD_WORK", 1)
-    assert metrics._shard_count(10 ** 9) == 3
-
-    def fork():
-        raise AssertionError("forked beside a running thread")
-
-    monkeypatch.setattr(os, "fork", fork)
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        assert metrics._shard_count(10 ** 9) == 1
-        assert select_checkpoint(candidates, refs,
-                                 default_stoplist()) == serial
-    finally:
-        done.set()
-        thread.join()

@@ -73,13 +73,15 @@ def test_cli_import_loads_parser_modules_only():
 _CORPUS = '{"id":"a","text":"der hund","source":"SRF"}\n'
 
 
+# The commands that map or score line by line also load the shard module,
+# whatever the input's size: the shard count is worked out there.
 @pytest.mark.parametrize("command, added", [
-    ("itn", ["itn"]),
-    ("normalize", []),
+    ("itn", ["itn", "shards"]),
+    ("normalize", ["shards"]),
     ("clean", ["cleaning"]),
     ("stats", ["stats"]),
-    ("bleu", ["metrics"]),
-    ("select", ["metrics"]),
+    ("bleu", ["metrics", "shards"]),
+    ("select", ["metrics", "shards"]),
     ("plan", ["frameplan"]),
 ])
 def test_subcommand_adds_only_its_modules(tmp_path, command, added):
