@@ -7,7 +7,9 @@ Rules, applied in fixed order per utterance:
   4. FOREIGN_SENTENCE drop lines identified as French/English
 
 An utterance whose text is empty or whitespace after stripping sound cues
-is dropped outright.
+is dropped outright. Every rule always runs; ``CleanConfig`` sets the
+patterns of rule 3 and the threshold of rule 4, and an empty pattern list
+or a threshold above 1 switches that rule off.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ class RuleName(Enum):
     HASHTAG_START = "HASHTAG_START"
     STATUS_MESSAGE = "STATUS_MESSAGE"
     ASTERISK_SOUND = "ASTERISK_SOUND"
-
-    # Identity hash, as for Language below: four rule checks per utterance
-    # look members up in ``CleanConfig.enabled``.
-    __hash__ = object.__hash__
 
 
 class Verdict(Enum):
@@ -148,24 +146,22 @@ def strip_asterisk_spans(text: str) -> tuple[str, list[str]]:
 class _CleanConfigFields(NamedTuple):
     status_patterns: tuple[str, ...]
     foreign_threshold: float
-    enabled: frozenset[RuleName]
 
 
 class CleanConfig(Checked, _CleanConfigFields):
-    """The rules to apply and their settings; no status pattern is empty,
-    since every text starts with ""."""
+    """The settings of the rules. No status pattern is empty, since every
+    text starts with "", and none has white space at either end, since it
+    is compared with the trimmed text."""
     __slots__ = ()
 
     def __new__(cls,
                 status_patterns: tuple[str, ...] = DEFAULT_STATUS_PATTERNS,
-                foreign_threshold: float = DEFAULT_FOREIGN_THRESHOLD,
-                enabled: frozenset[RuleName] = frozenset(RuleName)
+                foreign_threshold: float = DEFAULT_FOREIGN_THRESHOLD
                 ) -> "CleanConfig":
-        if "" in status_patterns:
-            raise ValueError(
-                "field 'status_patterns' must not hold an empty pattern")
-        return tuple.__new__(cls, (status_patterns, foreign_threshold,
-                                   enabled))
+        if not all(p and p == p.strip() for p in status_patterns):
+            raise ValueError("field 'status_patterns' must not hold an empty "
+                             "pattern or one with white space at either end")
+        return tuple.__new__(cls, (status_patterns, foreign_threshold))
 
     @staticmethod
     def from_json(path: str | Path) -> "CleanConfig":
@@ -175,61 +171,48 @@ class CleanConfig(Checked, _CleanConfigFields):
         try:
             obj = json_object(text)
             for name in obj:
-                if name not in ("status_patterns", "foreign_threshold",
-                                "enabled_rules"):
+                if name not in _CleanConfigFields._fields:
                     raise ValueError(f"unknown field '{name}'")
-            rules = json_field(obj, "enabled_rules", list, None)
-            enabled = frozenset(RuleName) if rules is None \
-                else frozenset(map(RuleName, rules))
-            patterns = json_field(obj, "status_patterns", list,
-                                  DEFAULT_STATUS_PATTERNS)
             return CleanConfig(
-                patterns,
+                json_field(obj, "status_patterns", list,
+                           DEFAULT_STATUS_PATTERNS),
                 json_field(obj, "foreign_threshold", float,
-                           DEFAULT_FOREIGN_THRESHOLD),
-                enabled)
+                           DEFAULT_FOREIGN_THRESHOLD))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
 def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
                cfg: CleanConfig) -> CleanOutcome:
-    text = utt.text
+    text, spans = strip_asterisk_spans(utt.text)
     hits: list[tuple[RuleName, str]] = []
-    edited = False
+    if spans:
+        hits.extend((RuleName.ASTERISK_SOUND, s) for s in spans)
+        if not text.strip():
+            # Sound cue was the whole line; nothing left to keep.
+            return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    if RuleName.ASTERISK_SOUND in cfg.enabled:
-        text, spans = strip_asterisk_spans(text)
-        if spans:
-            edited = True
-            hits.extend((RuleName.ASTERISK_SOUND, s) for s in spans)
-            if not text.strip():
-                # Sound cue was the whole line; nothing left to keep.
-                return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
-
-    if RuleName.HASHTAG_START in cfg.enabled and text.lstrip().startswith("#"):
+    if text.lstrip().startswith("#"):
         hits.append((RuleName.HASHTAG_START, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    if RuleName.STATUS_MESSAGE in cfg.enabled and match_status_message(
-            text, cfg.status_patterns):
+    if match_status_message(text, cfg.status_patterns):
         hits.append((RuleName.STATUS_MESSAGE, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    if RuleName.FOREIGN_SENTENCE in cfg.enabled:
-        lang, scores = detect_language(text, profiles)
-        if lang is not Language.DE and scores[lang] >= cfg.foreign_threshold:
-            hits.append((RuleName.FOREIGN_SENTENCE, text.strip()))
-            return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
+    lang, scores = detect_language(text, profiles)
+    if lang is not Language.DE and scores[lang] >= cfg.foreign_threshold:
+        hits.append((RuleName.FOREIGN_SENTENCE, text.strip()))
+        return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    verdict = Verdict.EDITED if edited else Verdict.KEPT
+    verdict = Verdict.EDITED if spans else Verdict.KEPT
     return CleanOutcome(utt.id, verdict, tuple(hits), text=text)
 
 
 def clean_corpus(corpus: Sequence[Utterance], cfg: CleanConfig = CleanConfig()
                  ) -> tuple[tuple[Utterance, ...], list[CleanOutcome]]:
-    """Apply the rules of ``cfg.enabled`` per utterance; survivors keep
-    their input order, and their ids stay unique."""
+    """Apply every rule per utterance; survivors keep their input order,
+    and their ids stay unique."""
     profiles = default_profiles()
     outcomes = [_clean_one(u, profiles, cfg) for u in corpus]
     survivors = tuple(

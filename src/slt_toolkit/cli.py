@@ -147,7 +147,7 @@ def _cmd_bleu(args) -> None:
         result = metrics.bleu(hyps, refs, args.smoothing)
     else:
         result = metrics.reduced_bleu(hyps, refs, _stoplist(args),
-                                      args.smoothing, side=args.reduced_side)
+                                      args.smoothing)
     if args.json:
         _emit_json(result.to_dict())
     else:
@@ -183,9 +183,6 @@ def _cmd_itn(args) -> None:
 def _cmd_plan(args) -> None:
     from . import frameplan
     win = frameplan.WindowSpec(window=args.window, stride=args.stride)
-    if args.frames is not None:
-        _emit_json(frameplan.plan_windows(args.frames, win).to_dict())
-        return
     lines = [jsonl_line({"id": id} | plan.to_dict())
              for id, plan in frameplan.plan_manifest(args.manifest, win)]
     if args.output is not None:
@@ -229,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         if name == "reduced-bleu":
             p.add_argument("--stoplist", type=_path)
-            p.add_argument("--reduced-side", choices=["both", "hyp"],
-                           default="both")
         p.set_defaults(func=_cmd_bleu)
 
     p = sub.add_parser("select", help="pick a checkpoint by reduced BLEU")
@@ -248,12 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_itn)
 
     p = sub.add_parser("plan", help="feature-window plans for frame counts")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--manifest", type=_path,
-                        help="JSONL of id/frame_count/width/height")
-    source.add_argument("--frames", type=int, help="plan a single frame count")
+    p.add_argument("--manifest", type=_path, required=True,
+                   help="JSONL of id/frame_count/width/height")
     p.add_argument("--out", dest="output", type=_path,
-                   help="plan lines of a --manifest")
+                   help="write the plan lines here, not to stdout")
     p.add_argument("--window", type=int, default=64)
     p.add_argument("--stride", type=int, default=8)
     p.set_defaults(func=_cmd_plan)
@@ -262,10 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "plan" and None not in (args.frames, args.output):
-        parser.error("argument --out: not allowed with argument --frames")
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, OSError) as exc:  # CorpusError, ScoringError

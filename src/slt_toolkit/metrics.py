@@ -7,7 +7,9 @@ shorter than the reference. Tokenization is whitespace splitting; inputs
 are assumed pre-normalized; scores sum per-segment sufficient statistics.
 
 Reduced BLEU deletes blacklisted stop/function words from both sides
-before scoring (``side="hyp"`` preserves the hypothesis-only reading).
+before scoring, the one reading ``select_checkpoint`` ranks by. For a
+hypothesis-only reading, score ``remove_stopwords`` of each hypothesis with
+``bleu``.
 
 Large inputs are scored in forked shards (``shards.forked_map``); README.md
 says when.
@@ -29,7 +31,6 @@ from .corpus import bundled_lines, function_words, load_segments, \
 NGRAM_ORDER = 4
 
 Smoothing = Literal["none", "exp"]
-Side = Literal["both", "hyp"]
 Segments = Sequence[str]
 
 
@@ -204,12 +205,10 @@ def remove_stopwords(segment: str, stops: frozenset[str]) -> str:
 
 
 def reduced_bleu(hyps: Segments, refs: Segments, stops: frozenset[str],
-                 smoothing: Smoothing = "none",
-                 side: Side = "both") -> BleuScore:
+                 smoothing: Smoothing = "none") -> BleuScore:
     _check("smoothing", smoothing, Smoothing)
-    _check("side", side, Side)
-    view = (stops, stops if side == "both" else frozenset())
-    [[stats]] = _accumulate([("segment count mismatch", hyps)], refs, [view])
+    [[stats]] = _accumulate([("segment count mismatch", hyps)], refs,
+                            [(stops, stops)])
     return _score(*stats, smoothing)
 
 

@@ -164,27 +164,32 @@ def test_adding_patterns_is_monotone():
 def test_clean_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"status_patterns": ["Nur dieses"], '
-                    '"foreign_threshold": 0.5, '
-                    '"enabled_rules": ["STATUS_MESSAGE"]}', encoding="utf-8")
+                    '"foreign_threshold": 0.5}', encoding="utf-8")
     cfg = CleanConfig.from_json(path)
-    assert cfg.status_patterns == ("Nur dieses",)
-    assert cfg.foreign_threshold == 0.5
-    assert cfg.enabled == frozenset({RuleName.STATUS_MESSAGE})
-    cleaned, _ = clean_corpus(_corpus(["Nur dieses", "#bleibt jetzt"]),
-                              cfg=cfg)
-    assert [u.text for u in cleaned] == ["#bleibt jetzt"]
+    assert cfg == CleanConfig(("Nur dieses",), 0.5)
+    # The patterns replace the defaults; an EN score of 1/3 is below 0.5.
+    texts = ["Nur dieses", "1:1-Untertitelung.", "the hund bellt", "#weg"]
+    assert [u.text for u in clean_corpus(_corpus(texts))[0]] == ["Nur dieses"]
+    cleaned, _ = clean_corpus(_corpus(texts), cfg=cfg)
+    assert [u.text for u in cleaned] == ["1:1-Untertitelung.",
+                                         "the hund bellt"]
 
 
-_EMPTY_PATTERN = "field 'status_patterns' must not hold an empty pattern"
+_EMPTY_PATTERN = ("field 'status_patterns' must not hold an empty pattern "
+                  "or one with white space at either end")
 
 
 @pytest.mark.parametrize("build", [
     lambda: CleanConfig(status_patterns=("x", "")),
     lambda: CleanConfig()._replace(status_patterns=("",)),
-], ids=["constructor", "replace"])
+    lambda: CleanConfig(status_patterns=("1:1-Untertitelung. ",)),
+    lambda: CleanConfig(status_patterns=("x", "\t1:1-Untertitelung.")),
+    lambda: CleanConfig()._replace(status_patterns=(" \u2028",)),
+], ids=["constructor", "replace", "trailing", "leading", "blank"])
 def test_clean_config_rejects_empty_status_pattern(build):
     """Every text starts with "": an empty pattern would drop every line
-    of punctuation only, so no config may hold one."""
+    of punctuation only, so no config may hold one. A pattern with white
+    space at either end never matches the trimmed text."""
     with pytest.raises(ValueError, match=f"^{re.escape(_EMPTY_PATTERN)}$"):
         build()
 

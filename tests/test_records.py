@@ -27,8 +27,7 @@ RECORDS = [
     (CleanOutcome, dict(id="a", verdict=Verdict.EDITED,
                         hits=((RuleName.ASTERISK_SOUND, "*x*"),), text="y"),
      ("verdict", Verdict.KEPT)),
-    (CleanConfig, dict(status_patterns=("x",), foreign_threshold=0.5,
-                       enabled=frozenset({RuleName.HASHTAG_START})),
+    (CleanConfig, dict(status_patterns=("x",), foreign_threshold=0.5),
      ("foreign_threshold", 0.3)),
     (AbbrevTable, dict(entries={"Mrd.": "Milliarden"}),
      ("entries", {"Mio.": "Millionen"})),

@@ -86,8 +86,10 @@ _CORPUS = '{"id":"a","text":"der hund","source":"SRF"}\n'
 ])
 def test_subcommand_adds_only_its_modules(tmp_path, command, added):
     seg, corpus = tmp_path / "seg.txt", tmp_path / "c.jsonl"
+    manifest = tmp_path / "m.jsonl"
     seg.write_text("zweiundvierzig hunde\n", encoding="utf-8")
     corpus.write_text(_CORPUS, encoding="utf-8")
+    manifest.write_text('{"id":"x","frame_count":100}\n', encoding="utf-8")
     out = str(tmp_path / "out")
     argv = {
         "itn": ["itn", "--in", str(seg), "--out", out],
@@ -96,7 +98,7 @@ def test_subcommand_adds_only_its_modules(tmp_path, command, added):
         "stats": ["stats", "--in", str(corpus)],
         "bleu": ["bleu", "--hyp", str(seg), "--ref", str(seg)],
         "select": ["select", "--hyp", str(seg), "--ref", str(seg)],
-        "plan": ["plan", "--frames", "100"],
+        "plan": ["plan", "--manifest", str(manifest)],
     }[command]
     before, after, code = _run("""\
 import contextlib, io
