@@ -1,9 +1,10 @@
 """Target-text normalization: abbreviations, dates, numbers, punctuation, case.
 
-One fixed pipeline: NFC -> abbreviations -> dates and numbers -> one
-character map (punctuation and symbols to spaces, format characters out,
-non-decimal digits spelled) -> lowercase -> whitespace collapse -> NFC.
-Dates and numbers are matched by one pattern, dates first, so that
+One fixed pipeline: NFC -> one rewrite pass -> one character map
+(punctuation and symbols to spaces, format characters out, non-decimal
+digits spelled) -> lowercase -> whitespace collapse -> NFC. The rewrite
+pass is one pattern per abbreviation table: the leftmost match wins, and
+at one position an abbreviation wins, then a date, then a number, so that
 "3.10.2022" is expanded as a date instead of being shredded into integers.
 After one pass the output is NFC and contains no digits, no punctuation,
 symbol or format characters and no uppercase letters, which makes the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -29,14 +30,13 @@ from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 # apostrophe ' or ’.
 _SEPARATORS_RE = re.compile("[.\u2009\u202f'’]")
 
-# Priority: DATE, then a number: digits with optional thousands separators,
-# an INTEGER unless a comma fraction follows and makes it a DECIMAL.
-# m.lastgroup names the kind, m.group() is the span. Both alternatives start
-# with a digit, and the leading lookahead says so: the search then skips
-# other characters in C instead of trying each alternative at every position.
-_NUMERIC_RE = re.compile(
-    r"(?=\d)(?:(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)|(?P<INTEGER>\d{1,3}"
-    r"(?:" + _SEPARATORS_RE.pattern + r"\d{3})+|\d+)(?P<DECIMAL>,\d+)?)")
+# The numeric branches of every matcher: a DATE, then a number: digits with
+# optional thousands separators, an INTEGER unless a comma fraction follows
+# and makes it a DECIMAL. m.lastgroup names the kind, m.group() the span. The
+# leading (?=\d) spares the three alternatives at a key's first character.
+_NUMERIC = (r"(?=\d)(?:(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)|(?P<INTEGER>"
+            r"\d{1,3}(?:" + _SEPARATORS_RE.pattern + r"\d{3})+|\d+)"
+            r"(?P<DECIMAL>,\d+)?)")
 
 
 class _AbbrevTableFields(NamedTuple):
@@ -51,21 +51,33 @@ class AbbrevTable(Checked, _AbbrevTableFields):
         for key, value in entries.items():
             if not key or not value:
                 raise ValueError("abbreviation keys and values must be nonempty")
+            # A key that starts with a digit would cut into a number, one
+            # with white space at an end never matches before a word, and a
+            # digit in an expansion would reach the output unspelled.
+            if key[0].isdecimal() or key != key.strip() or \
+                    any(map(str.isdecimal, value)):
+                raise ValueError(
+                    f"invalid abbreviation {key!r}: {value!r}: a key must not "
+                    f"start with a digit or have white space at either end, "
+                    f"and an expansion must hold no digit")
         # A read-only copy: the matcher is compiled from the keys once, and
         # the default table is shared by every caller.
         return tuple.__new__(cls, (MappingProxyType(dict(entries)),))
 
     @cached_property
-    def matcher(self) -> re.Pattern | None:
-        """One pattern for all keys, longest first so "z.B." wins over a
-        hypothetical "z." entry; None for an empty table. Built on first
-        use. The word-boundary lookarounds wrap the whole alternation:
-        repeated in front of every key, the lookbehind cost over 15x more."""
-        if not self.entries:
-            return None
+    def matcher(self) -> re.Pattern:
+        """The one pattern of every rewrite: ABBR, one of the keys, longest
+        first so "z.B." wins over a hypothetical "z." entry, then _NUMERIC;
+        an empty table has no ABBR. Built on first use. The word-boundary
+        lookarounds wrap the whole key alternation: repeated in front of
+        every key, the lookbehind cost over 15x more. The leading lookahead
+        names the characters a match can start with, so that most positions
+        fail on one test."""
         keys = sorted(self.entries, key=len, reverse=True)
-        return re.compile(
-            r"(?<!\w)(?:" + "|".join(map(re.escape, keys)) + r")(?!\w)")
+        heads = "".join(sorted({re.escape(key[0]) for key in keys}))
+        abbr = (r"(?P<ABBR>(?<!\w)(?:" + "|".join(map(re.escape, keys))
+                + r")(?!\w))|") if keys else ""
+        return re.compile(rf"(?=[\d{heads}])(?:{abbr}{_NUMERIC})")
 
     @staticmethod
     def from_tsv(path: str | Path) -> "AbbrevTable":
@@ -92,20 +104,15 @@ def default_abbrev_table() -> AbbrevTable:
     return _table_from_lines(bundled_lines(name), name)
 
 
-def _expand_abbreviations(text: str, table: AbbrevTable) -> str:
-    if table.matcher is None:
-        return text
-    return table.matcher.sub(lambda m: table.entries[m.group()], text)
-
-
 _MAX_DIGITS = len(str(MAX_NUMBER))  # MAX_NUMBER is all nines
 
 
 def _spell_integer(digits: str) -> str:
-    # Chosen by length, so that int() never sees a run longer than
-    # Python's int/str conversion limit.
-    if len(digits.lstrip("0")) <= _MAX_DIGITS:
-        return spell_number_de(int(digits))
+    # Chosen by length, and int() gets the significant digits only, so that
+    # no run, leading zeros included, meets Python's int/str digit limit.
+    significant = digits.lstrip("0")
+    if len(significant) <= _MAX_DIGITS:
+        return spell_number_de(int(significant or "0"))
     # Oversized numbers: spell in 3-digit groups from the left.
     groups = []
     head = len(digits) % 3 or 3
@@ -150,7 +157,7 @@ def _map_char(ch: str) -> str:
     """Punctuation (P*) and symbols (S*) become spaces and format
     characters (Cf: U+200B, U+00AD, U+2060, U+FEFF, ...) are deleted.
     Digits that are not decimal (superscripts, subscripts, circled digits:
-    "²", "₂", "①") escape _NUMERIC_RE but are str.isdigit; each is spelled
+    "²", "₂", "①") escape the matcher but are str.isdigit; each is spelled
     as its own word. Letters, umlauts and ß included, stay."""
     category = unicodedata.category(ch)
     if category[0] in "PS":
@@ -165,9 +172,11 @@ def _map_char(ch: str) -> str:
 _CHAR_MAP = _CodePointMap(_map_char)
 
 
-def _expand_numeric(m: re.Match) -> str:
-    """The words for one match of _NUMERIC_RE."""
+def _expand(entries: Mapping[str, str], m: re.Match) -> str:
+    """The words for one match of an AbbrevTable's matcher."""
     kind = m.lastgroup
+    if kind == "ABBR":
+        return entries[m.group()]
     if kind == "DATE":
         return _expand_date(m.group())
     if kind == "DECIMAL":
@@ -179,8 +188,8 @@ def normalize_text(text: str, table: AbbrevTable | None = None) -> str:
     if table is None:
         table = default_abbrev_table()
     text = unicodedata.normalize("NFC", text)
-    text = _expand_abbreviations(text, table)
-    text = _NUMERIC_RE.sub(_expand_numeric, text).translate(_CHAR_MAP)
+    text = table.matcher.sub(partial(_expand, table.entries), text)
+    text = text.translate(_CHAR_MAP)
     # A deleted format character or a spelled number can leave a combining
     # mark after a letter it now composes with.
     return unicodedata.normalize("NFC", " ".join(text.lower().split()))

@@ -335,6 +335,17 @@ def test_normalize_empty_abbrev_table(tmp_path, seg):
     assert list(load_segments(out)) == ["drei mrd franken"]
 
 
+def test_normalize_long_leading_zero_run(tmp_path, seg):
+    """A run of leading zeros longer than int()'s conversion limit is
+    spelled from its significant digits: the corpus is written whole."""
+    inp = seg("in.txt", ["a " + "0" * 4300 + "7 b",
+                         "000" + ".000" * 1500 + ".001", "42"])
+    out = tmp_path / "out.txt"
+    assert main(["normalize", "--in", inp, "--out", str(out)]) == 0
+    assert list(load_segments(out)) == ["a sieben b", "eins",
+                                        "zweiundvierzig"]
+
+
 def test_itn_segments(tmp_path, seg):
     inp = seg("in.txt", ["das kostet zweiundvierzig franken"])
     out = tmp_path / "out.txt"
@@ -695,10 +706,19 @@ def test_non_utf8_list_file_named(tmp_path, seg, capsys, command):
      "line 1: abbreviation keys and values must be nonempty"),
     ("abbrev", b"z.B.\tzum Beispiel\nusw.\tund\tso weiter\n",
      "line 2: expected two columns"),
+    ("abbrev", b"Mrd.\tMilliarden\nz.B. \tzum Beispiel\n",
+     "line 2: invalid abbreviation 'z.B. ': 'zum Beispiel': a key must not "
+     "start with a digit or have white space at either end, and an "
+     "expansion must hold no digit\n"),
+    ("abbrev", b"Mrd.\tMilliarden\nMio.\tMillionen\n1.\terstens\n",
+     "line 3: invalid abbreviation '1.': 'erstens': "),
+    ("abbrev", b"Nr.\tNummer 1\n", "line 1: invalid abbreviation 'Nr.': "
+     "'Nummer 1': "),
     ("normalize", b"x\ny\nab\xffc\n", "line 3: not valid UTF-8: "),
     ("config", b'{\n "foreign_threshold": 0.5\n "x": 1\n}\n',
      "line 3: malformed JSON: Expecting ',' delimiter\n"),
-], ids=["stoplist", "abbrev-empty", "abbrev-columns", "utf8", "config"])
+], ids=["stoplist", "abbrev-empty", "abbrev-columns", "abbrev-space",
+        "abbrev-digit-key", "abbrev-digit-value", "utf8", "config"])
 def test_line_error_names_file_and_line(tmp_path, seg, capsys, command,
                                         content, message):
     bad = tmp_path / "bad"

@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 from slt_toolkit.normalize import (
     AbbrevTable,
     _CHAR_MAP,
-    _NUMERIC_RE,
-    _expand_abbreviations,
-    _expand_numeric,
+    _SEPARATORS_RE,
+    _expand_date,
+    _expand_decimal,
+    _spell_integer,
     default_abbrev_table,
     normalize_text,
 )
@@ -186,8 +187,10 @@ def test_year_hundreds_convention_bounds():
 
 
 def _numeric_spans(text):
-    """Non-overlapping numeric spans, left to right, with their kind."""
-    return [(m.group(), m.lastgroup) for m in _NUMERIC_RE.finditer(text)]
+    """Non-overlapping numeric spans, left to right, with their kind: the
+    matches of an empty table's matcher, which has no ABBR branch."""
+    return [(m.group(), m.lastgroup)
+            for m in AbbrevTable({}).matcher.finditer(text)]
 
 
 def test_find_numeric_spans_date_and_integer():
@@ -257,6 +260,19 @@ def test_normalize_oversized_decimal():
     assert not any(ch.isdigit() for ch in out)
     assert out.endswith(" komma fünf")
     assert normalize_text(out) == out
+
+
+@pytest.mark.parametrize("digits, expected", [
+    ("0" * 4299 + "7", "sieben"),
+    ("0" * 4300 + "7", "sieben"),
+    ("0" * 5000 + "42", "zweiundvierzig"),
+    ("000" + ".000" * 1500 + ".001", "eins"),
+    ("0" * 4300 + "7,5", "sieben komma fünf"),
+], ids=["4299-zeros", "4300-zeros", "5000-zeros", "grouped", "decimal"])
+def test_normalize_long_leading_zero_run(digits, expected):
+    """Leading zeros do not count towards int()'s conversion limit: the
+    number is spelled from its significant digits."""
+    assert normalize_text(digits) == expected
 
 
 def test_normalize_umlauts_survive():
@@ -338,10 +354,15 @@ _ASTRAL = st.characters(min_codepoint=0x10000)
 _TEXT = st.text(st.one_of(_ANY_CHAR, _PUNCT_OR_SYMBOL, _ASTRAL,
                           st.sampled_from(_FUZZ_ALPHABET + "\u2009²₃①")),
                 max_size=40)
-# A small key alphabet, so that one key is often a prefix of another.
-_KEY = st.text(st.sampled_from("aB.-_ ß²"), min_size=1, max_size=3)
-_TABLE = st.dictionaries(_KEY, st.text(_ANY_CHAR, min_size=1, max_size=4),
-                         min_size=1, max_size=8)
+# A small key alphabet, so that one key is often a prefix of another. Keys
+# and expansions are those AbbrevTable accepts: a key may hold a digit, but
+# does not start with one or have white space at either end, and an
+# expansion holds no decimal digit (category Nd).
+_KEY = st.text(st.sampled_from("aB.,'-_ ß²1"), min_size=1, max_size=3).filter(
+    lambda key: not key[0].isdecimal() and key == key.strip())
+_EXPANSION = st.text(st.characters(blacklist_categories=("Cs", "Nd")),
+                     min_size=1, max_size=4)
+_TABLE = st.dictionaries(_KEY, _EXPANSION, min_size=1, max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,8 +372,11 @@ def test_fast_steps_equal_reference_versions(data):
     text = "".join(data.draw(st.lists(
         st.one_of(_TEXT, st.sampled_from(sorted(table.entries) + [" "])),
         max_size=8)))
-    assert _expand_abbreviations(text, table) == \
-        _expand_abbreviations_oracle(text, table)
+    # The ABBR matches of the one pattern are those of the per-key pattern.
+    abbr_only = table.matcher.sub(lambda m: table.entries[m.group()]
+                                  if m.lastgroup == "ABBR" else m.group(),
+                                  text)
+    assert abbr_only == _expand_abbreviations_oracle(text, table)
     # Without non-decimal digits the character map is the punctuation step.
     text = "".join(ch for ch in text if ch.isdecimal() or not ch.isdigit())
     assert text.translate(_CHAR_MAP) == _strip_punctuation_oracle(text)
@@ -382,14 +406,38 @@ _NUMERIC_UNPREFIXED = re.compile(
     r"(?P<DECIMAL>,\d+)?")
 
 
+def _matches(pattern, text):
+    return [(m.span(), m.lastgroup, m.groups())
+            for m in pattern.finditer(text)]
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.text(st.sampled_from("0123456789.,\u2009\u202f'\u2019 aZ²٣"),
                max_size=24))
 def test_numeric_lookahead_changes_no_match(text):
-    def matches(pattern):
-        return [(m.span(), m.lastgroup, m.groups())
-                for m in pattern.finditer(text)]
-    assert matches(_NUMERIC_RE) == matches(_NUMERIC_UNPREFIXED)
+    assert _matches(AbbrevTable({}).matcher, text) == \
+        _matches(_NUMERIC_UNPREFIXED, text)
+
+
+# The leading lookahead of a matcher: a character class that may hold
+# escaped characters, "]" among them.
+_LEADING_LOOKAHEAD = re.compile(r"\A\(\?=\[(?:\\.|[^\]\\])*\]\)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matcher_lookahead_changes_no_match(data):
+    """The leading (?=[...]) only lets the search skip characters no match
+    starts with: without it, every match of a random table stays."""
+    table = AbbrevTable(data.draw(st.one_of(
+        _TABLE, st.dictionaries(_KEY | st.sampled_from(["]", "^", "\\", "-"]),
+                                _EXPANSION, min_size=1, max_size=4))))
+    text = "".join(data.draw(st.lists(st.one_of(
+        _TEXT, st.sampled_from(sorted(table.entries) + [
+            " ", "1", "3.10.2022", "1.000,5", "a"])), max_size=8)))
+    pattern, found = _LEADING_LOOKAHEAD.subn("", table.matcher.pattern)
+    assert found == 1
+    assert _matches(table.matcher, text) == _matches(re.compile(pattern), text)
 
 
 def test_normalize_nfd_equals_nfc():
@@ -433,12 +481,37 @@ def test_normalize_digit_free_and_idempotent(pieces):
     assert normalize_text(out) == out
 
 
+# normalize_text before its rewrites shared one pattern: abbreviations in a
+# pass of their own, then dates and numbers in a second.
+_NUMERIC_TWO_PASS = re.compile(
+    r"(?=\d)(?:(?P<DATE>\b\d{1,2}\.\d{1,2}\.\d{4}\b)|(?P<INTEGER>\d{1,3}"
+    r"(?:" + _SEPARATORS_RE.pattern + r"\d{3})+|\d+)(?P<DECIMAL>,\d+)?)")
+
+
+def _expand_abbreviations_two_pass(text, table):
+    if not table.entries:
+        return text
+    keys = sorted(table.entries, key=len, reverse=True)
+    pattern = re.compile(
+        r"(?<!\w)(?:" + "|".join(map(re.escape, keys)) + r")(?!\w)")
+    return pattern.sub(lambda m: table.entries[m.group()], text)
+
+
+def _expand_numeric_two_pass(m):
+    if m.lastgroup == "DATE":
+        return _expand_date(m.group())
+    if m.lastgroup == "DECIMAL":
+        return _expand_decimal(m.group())
+    return _spell_integer(_SEPARATORS_RE.sub("", m.group()))
+
+
 def _normalize_two_pass(text, table):
-    """normalize_text as first written: the digit map and the punctuation
-    map each in a pass of their own."""
+    """normalize_text as first written: abbreviations, then dates and
+    numbers, then the digit map and the punctuation map, each in a pass of
+    its own."""
     text = unicodedata.normalize("NFC", text)
-    text = _expand_abbreviations(text, table)
-    text = _NUMERIC_RE.sub(_expand_numeric, text)
+    text = _expand_abbreviations_two_pass(text, table)
+    text = _NUMERIC_TWO_PASS.sub(_expand_numeric_two_pass, text)
     text = _spell_digits_oracle(text)
     text = _strip_punctuation_oracle(text)
     text = text.lower()
@@ -448,12 +521,19 @@ def _normalize_two_pass(text, table):
 @pytest.mark.parametrize("decomposed", [True, False])
 @pytest.mark.parametrize("empty_table", [True, False])
 @settings(max_examples=200, deadline=None)
-@given(pieces=st.lists(st.one_of(_TEXT, _FORM_PIECES, st.sampled_from(
-    ["3.10.2022", "1.000,5", "m²", "₂", "①", "٣", "\u2009", " "])),
-    max_size=6))
-def test_normalize_equals_two_pass_version(decomposed, empty_table, pieces):
-    text = "".join(pieces)
+@given(data=st.data())
+def test_normalize_equals_two_pass_version(decomposed, empty_table, data):
+    """One pass gives the output of two: with the empty table, or with the
+    default table and a random one that AbbrevTable accepts, whose keys
+    the text holds among digits, dates and decimals."""
+    tables = [AbbrevTable({})] if empty_table else [
+        default_abbrev_table(), AbbrevTable(data.draw(_TABLE))]
+    keys = sorted({key for table in tables for key in table.entries})
+    text = "".join(data.draw(st.lists(st.one_of(
+        _TEXT, _FORM_PIECES, st.sampled_from(
+            ["3.10.2022", "1.000,5", "m²", "₂", "①", "٣", "\u2009", " "]
+            + keys)), max_size=6)))
     if decomposed:
         text = unicodedata.normalize("NFD", text)
-    table = AbbrevTable({}) if empty_table else default_abbrev_table()
-    assert normalize_text(text, table) == _normalize_two_pass(text, table)
+    for table in tables:
+        assert normalize_text(text, table) == _normalize_two_pass(text, table)

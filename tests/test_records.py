@@ -70,12 +70,31 @@ def test_record_equality_and_immutability(cls, fields, changed):
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+_ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
+                 "or have white space at either end, and an expansion must "
+                 "hold no digit")
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Utterance("", "x"), CorpusError, "utterance id must be nonempty"),
     (lambda: Utterance("a", "x", duration_s=-1.0), CorpusError,
      "duration_s must be >= 0, got -1.0"),
     (lambda: AbbrevTable({"z.B.": ""}), ValueError,
      "abbreviation keys and values must be nonempty"),
+    (lambda: AbbrevTable({"1.": "erstens"}), ValueError,
+     _ABBREV_RULES.format("'1.': 'erstens'")),
+    (lambda: AbbrevTable({"٣x": "drei"}), ValueError,
+     _ABBREV_RULES.format("'٣x': 'drei'")),
+    (lambda: AbbrevTable({"z.B. ": "zum Beispiel"}), ValueError,
+     _ABBREV_RULES.format("'z.B. ': 'zum Beispiel'")),
+    (lambda: AbbrevTable({"\tusw.": "und so weiter"}), ValueError,
+     _ABBREV_RULES.format("'\\tusw.': 'und so weiter'")),
+    (lambda: AbbrevTable({"\u3000": "x"}), ValueError,
+     _ABBREV_RULES.format("'\\u3000': 'x'")),
+    (lambda: AbbrevTable({"Nr.": "Nummer 1"}), ValueError,
+     _ABBREV_RULES.format("'Nr.': 'Nummer 1'")),
+    (lambda: AbbrevTable({"Nr.": "Nummer ٣"}), ValueError,
+     _ABBREV_RULES.format("'Nr.': 'Nummer ٣'")),
     (lambda: stop_words(["a\tb"]), ValueError,
      "invalid stop word: 'a\\tb'"),
     (lambda: stop_words(["x y"]), ValueError,
@@ -90,6 +109,9 @@ def test_record_equality_and_immutability(cls, fields, changed):
     (lambda: WindowSpec()._replace(stride=0), ValueError,
      "stride must be in [1, window]"),
 ], ids=["utterance-id", "utterance-duration", "abbrev-empty",
+        "abbrev-digit-key", "abbrev-arabic-indic-digit-key",
+        "abbrev-trailing-space", "abbrev-leading-tab", "abbrev-blank-key",
+        "abbrev-digit-value", "abbrev-arabic-indic-digit-value",
         "stoplist-tab", "stoplist-space", "window", "stride",
         "utterance-replace", "abbrev-replace", "window-replace"])
 def test_record_validation_errors(build, error, message):
