@@ -25,7 +25,7 @@ _MODULES = {
                 "read_stop_words", "reduced_bleu", "remove_stopwords",
                 "select_checkpoint", "stop_words"),
     "stats": ("CorpusStats", "compare_stats", "vocab_stats"),
-    "frameplan": ("WindowPlan", "WindowSpec", "plan_padding", "plan_windows"),
+    "frameplan": ("WindowPlan", "plan_padding", "plan_windows"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items()
             for name in names}

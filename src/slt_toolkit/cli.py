@@ -182,9 +182,8 @@ def _cmd_itn(args) -> None:
 
 def _cmd_plan(args) -> None:
     from . import frameplan
-    win = frameplan.WindowSpec(window=args.window, stride=args.stride)
     lines = [jsonl_line({"id": id} | plan.to_dict())
-             for id, plan in frameplan.plan_manifest(args.manifest, win)]
+             for id, plan in frameplan.plan_manifest(args.manifest)]
     if args.output is not None:
         write_segments(lines, args.output)
     else:
@@ -247,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL of id/frame_count/width/height")
     p.add_argument("--out", dest="output", type=_path,
                    help="write the plan lines here, not to stdout")
-    p.add_argument("--window", type=int, default=64)
-    p.add_argument("--stride", type=int, default=8)
     p.set_defaults(func=_cmd_plan)
 
     return parser

@@ -1,10 +1,11 @@
 """Deterministic geometry for the two feature-extraction front ends.
 
-Full-body windows: 64 frames with stride 8 over 224x224 input after gray
-padding (20% left/right, 7.5% top/bottom). Mouth features are one 768-dim
-vector per frame over 96x96 crops, so a mouth sequence is as long as its
-clip and needs no plan. No pixels are touched here; the plans are emitted
-as data for downstream extractors.
+Full-body windows have the fixed geometry of the I3D extractor: 64 frames
+with stride 8 over 224x224 input after gray padding (20% left/right, 7.5%
+top/bottom), 1024 dims per window. Mouth features are one 768-dim vector
+per frame over 96x96 crops, so a mouth sequence is as long as its clip and
+needs no plan. No pixels are touched here; the plans are emitted as data
+for downstream extractors.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Checked, json_field, json_object, load_segments, \
-    parse_lines
-
-
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+from .corpus import json_field, json_object, load_segments, parse_lines
 
 
 # Gray padding as factors of the frame: 20% left and right, 7.5% top and
@@ -26,28 +22,11 @@ def _round_half_away(x: float) -> int:
 _PAD_X = 1.0 + 0.20 + 0.20
 _PAD_Y = 1.0 + 0.075 + 0.075
 _TARGET = 224
-
-
-class _WindowSpecFields(NamedTuple):
-    window: int
-    stride: int
-
-
-class WindowSpec(Checked, _WindowSpecFields):
-    """Window length and stride in frames, 1 <= stride <= window."""
-    __slots__ = ()
-
-    def __new__(cls, window: int = 64, stride: int = 8) -> "WindowSpec":
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if not 1 <= stride <= window:
-            raise ValueError("stride must be in [1, window]")
-        return tuple.__new__(cls, (window, stride))
-
-
-FULL_BODY_FEATURE_DIM = 1024  # embedding width per 64-frame window
+_WINDOW = 64
+_STRIDE = 8
+FULL_BODY_FEATURE_DIM = 1024
 # Above this a frame count is taken as a data error: about 111 h at 25 fps,
-# and at most 1.25 M window starts at the default stride.
+# and at most 1.25 M window starts at stride 8.
 MAX_FRAME_COUNT = 10_000_000
 
 
@@ -59,10 +38,10 @@ class WindowPlan(NamedTuple):
     window_starts: tuple[int, ...]
     tail_padding: int
     uncovered_frames: int  # trailing frames past the last full window
-    feature_dim: int = FULL_BODY_FEATURE_DIM
 
     def to_dict(self) -> dict:
-        return self._asdict() | {"window_starts": list(self.window_starts)}
+        return self._asdict() | {"window_starts": list(self.window_starts),
+                                 "feature_dim": FULL_BODY_FEATURE_DIM}
 
 
 def plan_padding(w: int, h: int) -> tuple[int, int, float, float]:
@@ -70,16 +49,16 @@ def plan_padding(w: int, h: int) -> tuple[int, int, float, float]:
     if w <= 0 or h <= 0:
         raise ValueError("frame dimensions must be positive")
     try:
-        padded_w = _round_half_away(w * _PAD_X)
-        padded_h = _round_half_away(h * _PAD_Y)
+        # Half away from zero: w and h are positive.
+        padded_w = math.floor(w * _PAD_X + 0.5)
+        padded_h = math.floor(h * _PAD_Y + 0.5)
     except OverflowError:  # padded beyond the float range
         raise ValueError("frame dimensions are too large") from None
     return padded_w, padded_h, _TARGET / padded_w, _TARGET / padded_h
 
 
-def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
-                 width: int | None = None, height: int | None = None
-                 ) -> WindowPlan:
+def plan_windows(frame_count: int, width: int | None = None,
+                 height: int | None = None) -> WindowPlan:
     """Window start indices over a frame count.
 
     Clips shorter than one window get a single window with last-frame
@@ -102,24 +81,23 @@ def plan_windows(frame_count: int, spec: WindowSpec = WindowSpec(),
     tail = uncovered = 0
     if frame_count == 0:
         starts: tuple[int, ...] = ()
-    elif frame_count < spec.window:
+    elif frame_count < _WINDOW:
         starts = (0,)
-        tail = spec.window - frame_count
+        tail = _WINDOW - frame_count
     else:
-        starts = tuple(range(0, frame_count - spec.window + 1, spec.stride))
-        uncovered = frame_count - (starts[-1] + spec.window)
+        starts = tuple(range(0, frame_count - _WINDOW + 1, _STRIDE))
+        uncovered = frame_count - (starts[-1] + _WINDOW)
     return WindowPlan(padded_w, padded_h, scale_x, scale_y, starts, tail,
                       uncovered)
 
 
-def plan_manifest(path: str | Path, spec: WindowSpec = WindowSpec()
-                  ) -> list[tuple[str, WindowPlan]]:
+def plan_manifest(path: str | Path) -> list[tuple[str, WindowPlan]]:
     """(id, plan) per JSONL manifest line; errors name the file and line."""
     def parse(line: str) -> tuple[str, WindowPlan]:
         obj = json_object(line)
         # A global looked up per call: a wrapper set on the module sees it.
         return (json_field(obj, "id", str),
-                plan_windows(json_field(obj, "frame_count", int), spec,
+                plan_windows(json_field(obj, "frame_count", int),
                              json_field(obj, "width", int, None),
                              json_field(obj, "height", int, None)))
     return [plan for _, plan in parse_lines(load_segments(path), path, parse)]

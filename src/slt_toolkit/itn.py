@@ -36,10 +36,6 @@ _INNER_HEADS |= {tail + head
                  for head in {word[:k] for word in NUMBER_PIECES
                               for k in (1, 2)}
                  if len(tail) + len(head) <= 3}
-# Start pieces that are no number on their own ("ein", "eine"): a run of
-# one such token is not parsed.
-_NEVER_ALONE = frozenset(word for word in NUMBER_START_PIECES
-                         if parse_number_de(word) is None)
 
 
 def contract_numbers_de(text: str) -> str:
@@ -58,8 +54,7 @@ def contract_numbers_de(text: str) -> str:
             stop = min(i + _MAX_RUN, n)
             while end < stop and tokens[end][:3] in _INNER_HEADS:
                 end += 1
-            low = i + 1 if token in _NEVER_ALONE else i
-            while end > low:
+            while end > i:
                 value = parse_number_de("".join(tokens[i:end]))
                 if value is not None:
                     break

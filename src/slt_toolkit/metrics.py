@@ -107,14 +107,14 @@ def _content(tokens: list[str], words: frozenset[str]) -> list[str]:
 
 
 def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
-                views: Sequence[tuple[frozenset[str], frozenset[str]]]
+                views: Sequence[frozenset[str]]
                 ) -> list[list[tuple[list[int], list[int], int]]]:
     """The ``_score`` statistics of each labelled hypothesis set under each
-    view (the words deleted from hypothesis and reference), walking the
-    references one segment at a time and scoring every set against it in one
-    step. Only an empty unreduced reference side is an error. The segments
-    are scored in ``forked_map`` shards; the sums are integers, so they are
-    the same in any split."""
+    view (the words deleted from both sides), walking the references one
+    segment at a time and scoring every set against it in one step. Only an
+    empty unreduced reference side is an error. The segments are scored in
+    ``forked_map`` shards; the sums are integers, so they are the same in
+    any split."""
     ref_lines = list(refs)
     hyp_sets = [list(hyps) for _, hyps in labelled]
     for (label, _), hyp_lines in zip(labelled, hyp_sets):
@@ -139,8 +139,7 @@ def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
             for matches, totals, ref_len in sums]
 
 
-def _sums(rows: Sequence[tuple[str, ...]],
-          views: Sequence[tuple[frozenset[str], frozenset[str]]],
+def _sums(rows: Sequence[tuple[str, ...]], views: Sequence[frozenset[str]],
           width: int) -> list[list]:
     """Per view, ``[matches, totals, ref_len]`` summed over ``rows``, each a
     reference line followed by one line of every hypothesis set."""
@@ -148,12 +147,12 @@ def _sums(rows: Sequence[tuple[str, ...]],
     for ref_line, *hyp_lines in rows:
         ref_tokens = ref_line.split()
         hyp_tokens = [line.split() for line in hyp_lines]
-        for (hyp_words, ref_words), row in zip(views, sums):
-            kept = _content(ref_tokens, ref_words)
+        for words, row in zip(views, sums):
+            kept = _content(ref_tokens, words)
             ref_grams = [*chain(*_grams(kept))]
             keys = set(ref_grams)
             grams = [*chain.from_iterable(map(_grams, [
-                _content(tokens, hyp_words) for tokens in hyp_tokens]))]
+                _content(tokens, words) for tokens in hyp_tokens]))]
             # This segment's matches: each distinct hit clips to 1, and an
             # n-gram the reference holds r > 1 times adds min(c, r) - 1 for
             # a hypothesis that holds it c > 1 times.
@@ -175,7 +174,7 @@ def _sums(rows: Sequence[tuple[str, ...]],
 def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuScore:
     _check("smoothing", smoothing, Smoothing)
     [[stats]] = _accumulate([("segment count mismatch", hyps)], refs,
-                            [(frozenset(), frozenset())])
+                            [frozenset()])
     return _score(*stats, smoothing)
 
 
@@ -208,7 +207,7 @@ def reduced_bleu(hyps: Segments, refs: Segments, stops: frozenset[str],
                  smoothing: Smoothing = "none") -> BleuScore:
     _check("smoothing", smoothing, Smoothing)
     [[stats]] = _accumulate([("segment count mismatch", hyps)], refs,
-                            [(stops, stops)])
+                            [stops])
     return _score(*stats, smoothing)
 
 
@@ -259,7 +258,7 @@ def select_checkpoint(candidates: Sequence[tuple[str, Segments]],
         seen.add(name)
     full, reduced = _accumulate(
         [(f"candidate '{name}'", hyps) for name, hyps in candidates], refs,
-        [(frozenset(), frozenset()), (stops, stops)])
+        [frozenset(), stops])
     scored = []
     for (name, _), whole, kept in zip(candidates, full, reduced):
         whole, kept = _score(*whole, smoothing), _score(*kept, smoothing)

@@ -44,10 +44,14 @@ class _AbbrevTableFields(NamedTuple):
 
 
 class AbbrevTable(Checked, _AbbrevTableFields):
-    """Abbreviation -> expansion; keys and values are nonempty. No
-    ``__slots__``: the instance dict holds the matcher once it is built."""
+    """Abbreviation -> expansion; keys and values are nonempty, and keys
+    are kept in NFC, the form ``normalize_text`` matches in: of two keys
+    equal in NFC the later one wins. No ``__slots__``: the instance dict
+    holds the matcher once it is built."""
 
     def __new__(cls, entries: Mapping[str, str]) -> "AbbrevTable":
+        entries = {unicodedata.normalize("NFC", key): value
+                   for key, value in entries.items()}
         for key, value in entries.items():
             if not key or not value:
                 raise ValueError("abbreviation keys and values must be nonempty")
@@ -60,9 +64,9 @@ class AbbrevTable(Checked, _AbbrevTableFields):
                     f"invalid abbreviation {key!r}: {value!r}: a key must not "
                     f"start with a digit or have white space at either end, "
                     f"and an expansion must hold no digit")
-        # A read-only copy: the matcher is compiled from the keys once, and
-        # the default table is shared by every caller.
-        return tuple.__new__(cls, (MappingProxyType(dict(entries)),))
+        # Read-only: the matcher is compiled from the keys once, and the
+        # default table is shared by every caller.
+        return tuple.__new__(cls, (MappingProxyType(entries),))
 
     @cached_property
     def matcher(self) -> re.Pattern:
@@ -84,13 +88,14 @@ class AbbrevTable(Checked, _AbbrevTableFields):
         return _table_from_lines(load_segments(path), path)
 
 
-def _row(line: str) -> list[str]:
-    """One TSV row, abbreviation and expansion, checked as a table of one."""
+def _row(line: str) -> tuple[str, str]:
+    """One TSV row, abbreviation in NFC and expansion, checked as a table
+    of one."""
     parts = line.split("\t")
     if len(parts) != 2:
         raise ValueError("expected two columns")
-    AbbrevTable(dict([parts]))
-    return parts
+    [row] = AbbrevTable(dict([parts])).entries.items()
+    return row
 
 
 def _table_from_lines(lines: Iterable[str], path: str | Path) -> AbbrevTable:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -105,7 +106,7 @@ _OPTIONS = {
     "reduced-bleu": {"--hyp", "--ref", "--smoothing", "--json", "--stoplist"},
     "select": {"--ref", "--hyp", "--stoplist", "--smoothing", "--json"},
     "itn": {"--in", "--out"},
-    "plan": {"--manifest", "--out", "--window", "--stride"},
+    "plan": {"--manifest", "--out"},
 }
 
 
@@ -333,6 +334,18 @@ def test_normalize_empty_abbrev_table(tmp_path, seg):
     assert main(["normalize", "--in", inp, "--out", str(out),
                  "--abbrev", str(table)]) == 0
     assert list(load_segments(out)) == ["drei mrd franken"]
+
+
+def test_normalize_nfd_abbrev_table(tmp_path, seg):
+    """A table file saved in NFD, as some editors do, still expands."""
+    inp = seg("in.txt", ["Zür. und Zür."])
+    table = tmp_path / "nfd.tsv"
+    table.write_text(unicodedata.normalize("NFD", "Zür.\tZuerich\n"),
+                     encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["normalize", "--in", inp, "--out", str(out),
+                 "--abbrev", str(table)]) == 0
+    assert list(load_segments(out)) == ["zuerich und zuerich"]
 
 
 def test_normalize_long_leading_zero_run(tmp_path, seg):
@@ -737,6 +750,21 @@ def test_line_error_names_file_and_line(tmp_path, seg, capsys, command,
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {bad}: {message}")
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--window", "--stride"],
+                         ids=["window", "stride"])
+def test_plan_window_and_stride_are_usage_errors(tmp_path, capsys, option):
+    """The window geometry is fixed: 64 frames, stride 8. Exit 1 with a
+    missing manifest shows that no file was read."""
+    out = tmp_path / "plans.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--manifest", str(tmp_path / "missing.jsonl"),
+              "--out", str(out), option, "16"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {option} 16\n")
     assert not out.exists()
 
 

@@ -6,12 +6,10 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.corpus import CorpusError
 from slt_toolkit.frameplan import (
     MAX_FRAME_COUNT,
-    WindowSpec,
     plan_manifest,
     plan_padding,
     plan_windows,
@@ -85,10 +83,9 @@ def test_plan_manifest_plans_each_line(tmp_path):
     manifest.write_text('{"id":"a","frame_count":80,"width":10,"height":10}'
                         '\n\n{"id":"b","frame_count":0,"fps":25}\n',
                         encoding="utf-8")
-    spec = WindowSpec(window=32, stride=16)
-    assert plan_manifest(manifest, spec) == [
-        ("a", plan_windows(80, spec, width=10, height=10)),
-        ("b", plan_windows(0, spec))]
+    assert plan_manifest(manifest) == [
+        ("a", plan_windows(80, width=10, height=10)),
+        ("b", plan_windows(0))]
 
 
 def test_plan_manifest_error_names_file_and_line(tmp_path):
@@ -132,49 +129,37 @@ def test_frame_count_bound():
     assert MAX_FRAME_COUNT == 10_000_000
 
 
-def test_window_spec_validation():
-    with pytest.raises(ValueError):
-        WindowSpec(window=0)
-    with pytest.raises(ValueError):
-        WindowSpec(window=8, stride=9)
-    with pytest.raises(ValueError):
-        WindowSpec(stride=0)
-    with pytest.raises(ValueError):
+def test_negative_frame_count_is_an_error():
+    with pytest.raises(ValueError, match="^frame_count must be >= 0$"):
         plan_windows(-1)
 
 
 def test_starts_match_exhaustive_enumeration():
-    for stride in range(1, 65):
-        spec = WindowSpec(window=64, stride=stride)
-        for frames in range(0, 501):
-            plan = plan_windows(frames, spec)
-            if frames >= 64:
-                expected = [s for s in range(0, frames, stride)
-                            if s + 64 <= frames]
-                assert list(plan.window_starts) == expected, (frames, stride)
-                assert len(plan.window_starts) == (frames - 64) // stride + 1
-                assert plan.tail_padding == 0
-            elif frames > 0:
-                assert plan.window_starts == (0,)
-                assert plan.tail_padding == 64 - frames
-            else:
-                assert plan.window_starts == ()
-            # every window fits within the (possibly padded) clip
-            for start in plan.window_starts:
-                assert start + 64 <= frames + plan.tail_padding
+    for frames in range(0, 501):
+        plan = plan_windows(frames)
+        if frames >= 64:
+            expected = [s for s in range(0, frames, 8) if s + 64 <= frames]
+            assert list(plan.window_starts) == expected, frames
+            assert len(plan.window_starts) == (frames - 64) // 8 + 1
+            assert plan.tail_padding == 0
+        elif frames > 0:
+            assert plan.window_starts == (0,)
+            assert plan.tail_padding == 64 - frames
+        else:
+            assert plan.window_starts == ()
+        # every window fits within the (possibly padded) clip
+        for start in plan.window_starts:
+            assert start + 64 <= frames + plan.tail_padding
 
 
-@settings(max_examples=300, deadline=None)
-@given(frames=st.integers(0, 400), spec=st.integers(1, 80).flatmap(
-    lambda window: st.builds(WindowSpec, st.just(window),
-                             st.integers(1, window))))
-def test_each_frame_is_in_a_window_or_uncovered(frames, spec):
-    plan = plan_windows(frames, spec)
-    covered = {i for start in plan.window_starts
-               for i in range(start, min(start + spec.window, frames))}
-    uncovered = set(range(frames - plan.uncovered_frames, frames))
-    assert covered | uncovered == set(range(frames))
-    assert not covered & uncovered
+def test_each_frame_is_in_a_window_or_uncovered():
+    for frames in range(0, 401):
+        plan = plan_windows(frames)
+        covered = {i for start in plan.window_starts
+                   for i in range(start, min(start + 64, frames))}
+        uncovered = set(range(frames - plan.uncovered_frames, frames))
+        assert covered | uncovered == set(range(frames)), frames
+        assert not covered & uncovered, frames
 
 
 def test_window_count_monotone_in_frame_count():
@@ -188,7 +173,7 @@ def test_window_count_monotone_in_frame_count():
 def test_plan_carries_geometry_when_dims_given():
     plan = plan_windows(80, width=1000, height=1000)
     assert (plan.padded_w, plan.padded_h) == (1400, 1150)
-    assert plan.feature_dim == 1024
+    assert plan.to_dict()["feature_dim"] == 1024
 
 
 @pytest.mark.parametrize("dims", [{"width": 640}, {"height": 480}],

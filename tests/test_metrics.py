@@ -376,7 +376,7 @@ def _summed_stats(pairs):
     unreduced."""
     [[stats]] = _accumulate([("c", [" ".join(hyp) for hyp, _ in pairs])],
                             [" ".join(ref) for _, ref in pairs],
-                            [(frozenset(), frozenset())])
+                            [frozenset()])
     return _stats_tuple(stats)
 
 
@@ -395,7 +395,7 @@ def test_candidates_scored_at_once_clip_by_hand():
     # "b a b": b x2 and a x1 match 3, "b a" and "a b" 2, "b a b" 1.
     hyps = ["a b a b a b", "a a a", "b a b"]
     [row] = _accumulate([(h, [h]) for h in hyps], ["a b a b"],
-                        [(frozenset(), frozenset())])
+                        [frozenset()])
     assert [_stats_tuple(stats) for stats in row] == [
         ([4, 3, 2, 1], [6, 5, 4, 3], 6, 4),
         ([2, 0, 0, 0], [3, 2, 1, 0], 3, 4),
@@ -454,7 +454,7 @@ def _hypothesis_sets(draw):
 def test_accumulate_scores_each_candidate_as_its_own_loop(inputs):
     refs, hyp_sets = inputs
     stops = default_stoplist()
-    views = [(frozenset(), frozenset()), (stops, stops)]
+    views = [frozenset(), stops]
     labelled = [(f"c{i}", [" ".join(hyp) for hyp in hyps])
                 for i, hyps in enumerate(hyp_sets)]
     ref_lines = [" ".join(ref) for ref in refs]
@@ -465,10 +465,10 @@ def test_accumulate_scores_each_candidate_as_its_own_loop(inputs):
     def strip(tokens, words):
         return [t for t in tokens if t.lower() not in words]
 
-    for (hyp_words, ref_words), row in zip(views, stats):
+    for words, row in zip(views, stats):
         assert len(row) == len(hyp_sets)
         for hyps, entry in zip(hyp_sets, row):
-            pairs = [(strip(hyp, hyp_words), strip(ref, ref_words))
+            pairs = [(strip(hyp, words), strip(ref, words))
                      for hyp, ref in zip(hyps, refs)]
             assert _stats_tuple(entry) == _loop_stats(pairs)
 

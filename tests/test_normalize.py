@@ -326,6 +326,24 @@ def test_default_abbrev_table_shared_and_read_only():
     assert dict(own.entries) == {"Mrd.": "Milliarden"}
 
 
+def test_abbrev_keys_are_matched_in_nfc():
+    """A key typed decomposed matches the NFC text normalize_text reads."""
+    nfd = unicodedata.normalize("NFD", "Zür.")
+    assert nfd != "Zür."
+    assert normalize_text("Zür. und Zür.", AbbrevTable({nfd: "Zuerich"})) \
+        == "zuerich und zuerich"
+    # Two keys equal in NFC are one key, and the later one wins.
+    assert AbbrevTable({nfd: "a", "Zür.": "b"}).entries == {"Zür.": "b"}
+    assert AbbrevTable({"Zür.": "a", nfd: "b"}).entries == {"Zür.": "b"}
+
+
+def test_abbrev_tsv_later_row_wins_across_forms(tmp_path):
+    nfd = unicodedata.normalize("NFD", "Zür.")
+    path = tmp_path / "table.tsv"
+    path.write_text(f"Zür.\ta\n{nfd}\tb\nZür.\tc\n", encoding="utf-8")
+    assert AbbrevTable.from_tsv(path).entries == {"Zür.": "c"}
+
+
 # Reference versions of the abbreviation, punctuation and digit steps, one
 # regex alternative and one category lookup per character.
 def _expand_abbreviations_oracle(text, table):

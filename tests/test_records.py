@@ -10,7 +10,7 @@ import pytest
 from slt_toolkit.cleaning import CleanConfig, CleanOutcome, RuleName, \
     Verdict
 from slt_toolkit.corpus import CorpusError, Source, Utterance
-from slt_toolkit.frameplan import WindowPlan, WindowSpec
+from slt_toolkit.frameplan import WindowPlan
 from slt_toolkit.metrics import BleuScore, CandidateScores, \
     SelectionReport, stop_words
 from slt_toolkit.normalize import AbbrevTable
@@ -44,10 +44,9 @@ RECORDS = [
      ("per_source", {})),
     (FieldDelta, dict(field="hours", raw=2.0, clean=1.5, delta=-0.5,
                       pct=-25.0, increased=False), ("pct", -24.0)),
-    (WindowSpec, dict(window=16, stride=4), ("stride", 2)),
     (WindowPlan, dict(padded_w=300, padded_h=200, scale_x=0.5, scale_y=0.25,
                       window_starts=(0, 8), tail_padding=0,
-                      uncovered_frames=3, feature_dim=512),
+                      uncovered_frames=3),
      ("window_starts", (0,))),
 ]
 
@@ -99,21 +98,17 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
      "invalid stop word: 'a\\tb'"),
     (lambda: stop_words(["x y"]), ValueError,
      "invalid stop word: 'x y'"),
-    (lambda: WindowSpec(window=0), ValueError, "window must be >= 1"),
-    (lambda: WindowSpec(16, 17), ValueError, "stride must be in [1, window]"),
     # _replace builds through the same checks.
     (lambda: Utterance("a", "x")._replace(id=""), CorpusError,
      "utterance id must be nonempty"),
     (lambda: AbbrevTable({"z.B.": "zum Beispiel"})._replace(entries={"": "x"}),
      ValueError, "abbreviation keys and values must be nonempty"),
-    (lambda: WindowSpec()._replace(stride=0), ValueError,
-     "stride must be in [1, window]"),
 ], ids=["utterance-id", "utterance-duration", "abbrev-empty",
         "abbrev-digit-key", "abbrev-arabic-indic-digit-key",
         "abbrev-trailing-space", "abbrev-leading-tab", "abbrev-blank-key",
         "abbrev-digit-value", "abbrev-arabic-indic-digit-value",
-        "stoplist-tab", "stoplist-space", "window", "stride",
-        "utterance-replace", "abbrev-replace", "window-replace"])
+        "stoplist-tab", "stoplist-space", "utterance-replace",
+        "abbrev-replace"])
 def test_record_validation_errors(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()

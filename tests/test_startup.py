@@ -32,7 +32,7 @@ EXPORTS = {
                 "read_stop_words", "reduced_bleu", "remove_stopwords",
                 "select_checkpoint", "stop_words"],
     "stats": ["CorpusStats", "compare_stats", "vocab_stats"],
-    "frameplan": ["WindowPlan", "WindowSpec", "plan_padding", "plan_windows"],
+    "frameplan": ["WindowPlan", "plan_padding", "plan_windows"],
 }
 
 _LOADED = """\
