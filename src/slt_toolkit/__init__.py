@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 _MODULES = {
     "corpus": ("Source", "Utterance", "load_corpus", "load_segments",
                "write_corpus", "write_segments"),
-    "cleaning": ("CleanConfig", "CleanOutcome", "Verdict", "clean_corpus",
-                 "detect_language", "match_status_message"),
+    "cleaning": ("CleanOutcome", "Verdict", "clean_corpus", "detect_language",
+                 "match_status_message"),
     "normalize": ("AbbrevTable", "normalize_text"),
     "numbers_de": ("parse_number_de", "spell_date_de", "spell_number_de"),
     "itn": ("contract_numbers_de", "restore_display"),

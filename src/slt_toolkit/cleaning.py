@@ -7,23 +7,26 @@ Rules, applied in fixed order per utterance:
   4. FOREIGN_SENTENCE drop lines identified as French/English
 
 An utterance whose text is empty or whitespace after stripping sound cues
-is dropped outright. Every rule always runs; ``CleanConfig`` sets the
-patterns of rule 3 and the threshold of rule 4, and an empty pattern list
-or a threshold above 1 switches that rule off.
+is dropped outright. Every rule always runs. Rule 3 matches the SWISS TXT
+literals of ``data/status_de.txt``, or the patterns of a line file that
+replaces them (an empty one switches the rule off); rule 4 drops a line
+whose French or English score wins and reaches 0.3. Both match the text in
+NFC, while outputs keep its code points.
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
 from enum import Enum
 from functools import cache
 from itertools import filterfalse
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Checked, Utterance, bundled_lines, function_words, \
-    json_field, json_object, jsonl_line, read_text, write_segments
+from .corpus import Utterance, bundled_lines, function_words, jsonl_line, \
+    load_segments, parse_lines, write_segments
 
 
 class RuleName(Enum):
@@ -68,14 +71,36 @@ def default_profiles() -> Mapping[Language, frozenset[str]]:
     })
 
 
-# The three agency boilerplate literals known to occur in the data.
-DEFAULT_STATUS_PATTERNS = (
-    "1:1-Untertitelung.",
-    "Livepassagen können Fehler enthalten.",
-    "Mit Live-Untertiteln von SWISS TXT",
-)
+def _status_pattern(pattern: str) -> str:
+    """One status pattern, in NFC. None is empty, since every text starts
+    with "", and none has white space at either end, since it is compared
+    with the trimmed text."""
+    pattern = unicodedata.normalize("NFC", pattern)
+    if not pattern or pattern != pattern.strip():
+        raise ValueError(f"invalid status pattern {pattern!r}: a pattern "
+                         f"must not be empty or have white space at either "
+                         f"end")
+    return pattern
 
-DEFAULT_FOREIGN_THRESHOLD = 0.3
+
+def _patterns_from_lines(lines: Iterable[str], path: str | Path
+                         ) -> tuple[str, ...]:
+    return tuple(p for _, p in parse_lines(lines, path, _status_pattern))
+
+
+@cache
+def default_status_patterns() -> tuple[str, ...]:
+    """The bundled agency boilerplate literals, read once per process."""
+    name = "status_de.txt"
+    return _patterns_from_lines(bundled_lines(name), name)
+
+
+def read_status_patterns(path: str | Path) -> tuple[str, ...]:
+    """The nonblank lines of a status-pattern file, each in NFC."""
+    return _patterns_from_lines(load_segments(path), path)
+
+
+_FOREIGN_THRESHOLD = 0.3
 
 _ASTERISK_SPAN_RE = re.compile(r"\*[^*]*\*")
 # A run of cue spans with the ASCII spaces and tabs around them; it pairs
@@ -94,7 +119,7 @@ def detect_language(text: str, profiles: Mapping[Language, frozenset[str]]
     "d'" for FR). Returns the argmax language; ties (including empty text)
     break toward DE.
     """
-    tokens = text.lower().split()
+    tokens = unicodedata.normalize("NFC", text).lower().split()
     # Only tokens with a non-alphanumeric character are stripped, once for
     # all profiles: stripping every token costs more than the lookups.
     edged = [(t, _TOKEN_EDGE_RE.sub("", t))
@@ -116,10 +141,10 @@ def detect_language(text: str, profiles: Mapping[Language, frozenset[str]]
     return best, scores
 
 
-def match_status_message(text: str, patterns: list[str] | tuple[str, ...]) -> bool:
-    """True if the trimmed text is a pattern, or a pattern plus trailing
-    punctuation/whitespace only."""
-    trimmed = text.strip()
+def match_status_message(text: str, patterns: Iterable[str]) -> bool:
+    """True if the trimmed text in NFC is a pattern, or a pattern plus
+    trailing punctuation/whitespace only."""
+    trimmed = unicodedata.normalize("NFC", text).strip()
     for pattern in patterns:
         if trimmed == pattern:
             return True
@@ -143,47 +168,8 @@ def strip_asterisk_spans(text: str) -> tuple[str, list[str]]:
     return _CUE_RUN_RE.sub(" ", text).strip(), matches
 
 
-class _CleanConfigFields(NamedTuple):
-    status_patterns: tuple[str, ...]
-    foreign_threshold: float
-
-
-class CleanConfig(Checked, _CleanConfigFields):
-    """The settings of the rules. No status pattern is empty, since every
-    text starts with "", and none has white space at either end, since it
-    is compared with the trimmed text."""
-    __slots__ = ()
-
-    def __new__(cls,
-                status_patterns: tuple[str, ...] = DEFAULT_STATUS_PATTERNS,
-                foreign_threshold: float = DEFAULT_FOREIGN_THRESHOLD
-                ) -> "CleanConfig":
-        if not all(p and p == p.strip() for p in status_patterns):
-            raise ValueError("field 'status_patterns' must not hold an empty "
-                             "pattern or one with white space at either end")
-        return tuple.__new__(cls, (status_patterns, foreign_threshold))
-
-    @staticmethod
-    def from_json(path: str | Path) -> "CleanConfig":
-        """Errors in the file's content name the file, and malformed JSON
-        over several lines the line; a field not read here is an error."""
-        text = read_text(path)
-        try:
-            obj = json_object(text)
-            for name in obj:
-                if name not in _CleanConfigFields._fields:
-                    raise ValueError(f"unknown field '{name}'")
-            return CleanConfig(
-                json_field(obj, "status_patterns", list,
-                           DEFAULT_STATUS_PATTERNS),
-                json_field(obj, "foreign_threshold", float,
-                           DEFAULT_FOREIGN_THRESHOLD))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
 def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
-               cfg: CleanConfig) -> CleanOutcome:
+               status_patterns: tuple[str, ...]) -> CleanOutcome:
     text, spans = strip_asterisk_spans(utt.text)
     hits: list[tuple[RuleName, str]] = []
     if spans:
@@ -196,12 +182,12 @@ def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
         hits.append((RuleName.HASHTAG_START, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    if match_status_message(text, cfg.status_patterns):
+    if match_status_message(text, status_patterns):
         hits.append((RuleName.STATUS_MESSAGE, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
     lang, scores = detect_language(text, profiles)
-    if lang is not Language.DE and scores[lang] >= cfg.foreign_threshold:
+    if lang is not Language.DE and scores[lang] >= _FOREIGN_THRESHOLD:
         hits.append((RuleName.FOREIGN_SENTENCE, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
@@ -209,12 +195,16 @@ def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
     return CleanOutcome(utt.id, verdict, tuple(hits), text=text)
 
 
-def clean_corpus(corpus: Sequence[Utterance], cfg: CleanConfig = CleanConfig()
+def clean_corpus(corpus: Sequence[Utterance],
+                 status_patterns: Iterable[str] | None = None
                  ) -> tuple[tuple[Utterance, ...], list[CleanOutcome]]:
     """Apply every rule per utterance; survivors keep their input order,
-    and their ids stay unique."""
+    and their ids stay unique. ``None`` means the bundled status patterns;
+    other patterns are checked as a pattern file's lines are."""
+    patterns = default_status_patterns() if status_patterns is None \
+        else tuple(map(_status_pattern, status_patterns))
     profiles = default_profiles()
-    outcomes = [_clean_one(u, profiles, cfg) for u in corpus]
+    outcomes = [_clean_one(u, profiles, patterns) for u in corpus]
     survivors = tuple(
         u if o.verdict is Verdict.KEPT
         else Utterance(u.id, o.text, u.source, u.duration_s)

@@ -102,9 +102,9 @@ def _emit_json(payload: dict) -> None:
 def _cmd_clean(args) -> None:
     from . import cleaning
     corpus = load_corpus(args.input)
-    cfg = cleaning.CleanConfig.from_json(args.config) if args.config \
-        else cleaning.CleanConfig()
-    cleaned, outcomes = cleaning.clean_corpus(corpus, cfg=cfg)
+    patterns = cleaning.read_status_patterns(args.status) if args.status \
+        else None
+    cleaned, outcomes = cleaning.clean_corpus(corpus, patterns)
     write_corpus(cleaned, args.output)
     if args.report:
         cleaning.write_clean_report(outcomes, args.report)
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", type=_path, required=True)
     p.add_argument("--report", type=_path,
                    help="write per-utterance outcomes as JSONL")
-    p.add_argument("--config", type=_path, help="cleaning config JSON")
+    p.add_argument("--status", type=_path, help="status patterns, one per line")
     p.set_defaults(func=_cmd_clean)
 
     p = sub.add_parser("normalize", help="normalize segment text")

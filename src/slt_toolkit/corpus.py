@@ -126,8 +126,8 @@ _decode_prefix = json.JSONDecoder().raw_decode
 
 
 def json_object(text: str) -> dict:
-    """The JSON object ``text`` holds; errors carry no location, except the
-    line of malformed JSON in a text of several lines (a whole file)."""
+    """The JSON object one line ``text`` holds; errors carry no location,
+    which ``parse_lines`` adds."""
     # A text that is one JSON value and nothing else takes one C call;
     # json.loads skips white space around the value and words errors.
     try:
@@ -140,8 +140,7 @@ def json_object(text: str) -> dict:
         if _SURROGATE_ESCAPE.search(text):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
-        where = f"line {exc.lineno}: " if "\n" in text else ""
-        raise CorpusError(f"{where}malformed JSON: {exc.msg}") from None
+        raise CorpusError(f"malformed JSON: {exc.msg}") from None
     except RecursionError:
         raise CorpusError("JSON nested too deeply") from None
     except UnicodeEncodeError:
@@ -152,14 +151,13 @@ def json_object(text: str) -> dict:
 
 
 _REQUIRED = object()
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
-               list: "a list of strings"}
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
 
 
 def json_field(obj: dict, name: str, kind: type, default=_REQUIRED):
     """Field ``name`` of a parsed JSON object, checked against ``kind``:
     ``str``; ``int``, not a boolean; ``float``, any finite number but not a
-    boolean, returned as a float; ``list``, of strings, returned as a tuple.
+    boolean, returned as a float.
 
     An absent or null field gives ``default`` and, without one, is an
     error: a CorpusError that names the field, placed by the caller.
@@ -171,9 +169,6 @@ def json_field(obj: dict, name: str, kind: type, default=_REQUIRED):
         # Excludes NaN, the infinities and integers beyond the float range.
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
-    elif kind is list:
-        if type(value) is list and all(type(item) is str for item in value):
-            return tuple(value)
     elif type(value) is kind:  # type(True) is bool, not int
         return value
     raise CorpusError(f"field '{name}' must be {_KIND_NAMES[kind]}")

@@ -2,20 +2,21 @@
 
 import random
 import re
+import unicodedata
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slt_toolkit.cleaning import (
-    CleanConfig,
     Language,
     RuleName,
     Verdict,
     clean_corpus,
     default_profiles,
+    default_status_patterns,
     detect_language,
     match_status_message,
     strip_asterisk_spans,
-    DEFAULT_STATUS_PATTERNS,
 )
 from slt_toolkit.corpus import Utterance
 
@@ -141,57 +142,101 @@ def test_de_only_tokens_detected_as_de():
 
 
 def test_match_status_message():
-    assert match_status_message("1:1-Untertitelung.", DEFAULT_STATUS_PATTERNS)
+    patterns = default_status_patterns()
+    assert match_status_message("1:1-Untertitelung.", patterns)
     assert match_status_message("Livepassagen können Fehler enthalten.",
-                                DEFAULT_STATUS_PATTERNS)
+                                patterns)
     assert match_status_message("Mit Live-Untertiteln von SWISS TXT ...",
-                                DEFAULT_STATUS_PATTERNS)
-    assert not match_status_message("Untertitelung ist wichtig",
-                                    DEFAULT_STATUS_PATTERNS)
+                                patterns)
+    assert not match_status_message("Untertitelung ist wichtig", patterns)
+    # The text is put in NFC first.
+    assert match_status_message(unicodedata.normalize(
+        "NFD", " Livepassagen können Fehler enthalten. ..."), patterns)
 
 
 def test_adding_patterns_is_monotone():
     texts = ["Programmhinweis", "hallo welt", "noch ein satz"]
-    base = CleanConfig()
-    extended = CleanConfig(
-        status_patterns=base.status_patterns + ("Programmhinweis",))
-    kept_base = len(clean_corpus(_corpus(texts), cfg=base)[0])
-    kept_ext = len(clean_corpus(_corpus(texts), cfg=extended)[0])
+    base = default_status_patterns()
+    extended = base + ("Programmhinweis",)
+    kept_base = len(clean_corpus(_corpus(texts), base)[0])
+    kept_ext = len(clean_corpus(_corpus(texts), extended)[0])
     assert kept_ext <= kept_base
     assert kept_ext == 2
 
 
-def test_clean_config_from_json(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"status_patterns": ["Nur dieses"], '
-                    '"foreign_threshold": 0.5}', encoding="utf-8")
-    cfg = CleanConfig.from_json(path)
-    assert cfg == CleanConfig(("Nur dieses",), 0.5)
-    # The patterns replace the defaults; an EN score of 1/3 is below 0.5.
+def test_status_patterns_replace_the_defaults():
     texts = ["Nur dieses", "1:1-Untertitelung.", "the hund bellt", "#weg"]
+    # An EN score of 1/3 reaches the fixed threshold of 0.3.
     assert [u.text for u in clean_corpus(_corpus(texts))[0]] == ["Nur dieses"]
-    cleaned, _ = clean_corpus(_corpus(texts), cfg=cfg)
-    assert [u.text for u in cleaned] == ["1:1-Untertitelung.",
-                                         "the hund bellt"]
+    cleaned, _ = clean_corpus(_corpus(texts), ["Nur dieses"])
+    assert [u.text for u in cleaned] == ["1:1-Untertitelung."]
+    cleaned, _ = clean_corpus(_corpus(texts), ())
+    assert [u.text for u in cleaned] == ["Nur dieses", "1:1-Untertitelung."]
 
 
-_EMPTY_PATTERN = ("field 'status_patterns' must not hold an empty pattern "
-                  "or one with white space at either end")
-
-
-@pytest.mark.parametrize("build", [
-    lambda: CleanConfig(status_patterns=("x", "")),
-    lambda: CleanConfig()._replace(status_patterns=("",)),
-    lambda: CleanConfig(status_patterns=("1:1-Untertitelung. ",)),
-    lambda: CleanConfig(status_patterns=("x", "\t1:1-Untertitelung.")),
-    lambda: CleanConfig()._replace(status_patterns=(" \u2028",)),
-], ids=["constructor", "replace", "trailing", "leading", "blank"])
-def test_clean_config_rejects_empty_status_pattern(build):
+@pytest.mark.parametrize("patterns", [
+    ("x", ""), ("",), ("1:1-Untertitelung. ",), ("x", "\t1:1-Untertitelung."),
+    (" \u2028",),
+], ids=["empty-after-one", "empty", "trailing", "leading", "blank"])
+def test_status_patterns_reject_empty_and_edge_space(patterns):
     """Every text starts with "": an empty pattern would drop every line
-    of punctuation only, so no config may hold one. A pattern with white
-    space at either end never matches the trimmed text."""
-    with pytest.raises(ValueError, match=f"^{re.escape(_EMPTY_PATTERN)}$"):
-        build()
+    of punctuation only. A pattern with white space at either end never
+    matches the trimmed text."""
+    message = (f"invalid status pattern {patterns[-1]!r}: a pattern must "
+               f"not be empty or have white space at either end")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        clean_corpus(_corpus(["hallo"]), patterns)
+
+
+def test_status_patterns_are_kept_in_nfc():
+    text = "Livepassagen können Fehler enthalten."
+    nfd = unicodedata.normalize("NFD", text)
+    assert nfd != text
+    cleaned, outcomes = clean_corpus(_corpus([text]), [nfd])
+    assert cleaned == () and outcomes[0].verdict is Verdict.DROPPED
+
+
+# Texts that mix precomposed letters, sound cues, hashtags, spaces and the
+# status literals.
+_NFC_TEXT = st.lists(st.one_of(
+    st.sampled_from(["ä", "ö", "ü", "Ü", "é", "à", "là", "ç", "ñ", "ß",
+                     "*", "#", " ", "\t", ".", "der", "the", "le", "für",
+                     "über", "können", "Menü", *default_status_patterns()]),
+    st.text(alphabet="aeiouäöüéèàçÄÖÜ ", max_size=6)),
+    max_size=10).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_NFC_TEXT)
+@example(text="Livepassagen können Fehler enthalten.")
+@example(text="Er würde für die Kinder über alles tun.")
+@example(text="Das Menü à la carte für zwei.")
+def test_verdicts_do_not_depend_on_the_unicode_form(text):
+    """NFD and NFC of one text get the same verdict and the same rules;
+    each output keeps the code points of its input."""
+    nfd = unicodedata.normalize("NFD", text)
+    cleaned, outcomes = clean_corpus(_corpus([text, nfd]))
+    nfc_out, nfd_out = outcomes
+    assert nfc_out.verdict is nfd_out.verdict
+    assert [name for name, _ in nfc_out.hits] == \
+        [name for name, _ in nfd_out.hits]
+    survivors = {u.id: u.text for u in cleaned}
+    if nfd_out.verdict is Verdict.KEPT:
+        assert survivors["u1"] == nfd
+    if "u1" in survivors:
+        assert unicodedata.is_normalized("NFD", survivors["u1"])
+
+
+@pytest.mark.parametrize("text, language", [
+    ("Er würde für die Kinder über alles tun.", Language.DE),
+    ("Das Menü à la carte für zwei.", Language.DE),
+], ids=["umlauts", "menu-a-la-carte"])
+def test_language_scores_do_not_depend_on_the_unicode_form(text, language):
+    profiles = default_profiles()
+    nfd = unicodedata.normalize("NFD", text)
+    assert nfd != text
+    assert detect_language(nfd, profiles) == detect_language(text, profiles)
+    assert detect_language(text, profiles)[0] is language
 
 
 def test_determinism():

@@ -99,7 +99,7 @@ def test_unknown_subcommand_exits_1(capsys):
 # Every option of every subcommand, -h/--help aside. A change to this
 # table is a change to the CLI and belongs in CHANGES.md.
 _OPTIONS = {
-    "clean": {"--in", "--out", "--report", "--config"},
+    "clean": {"--in", "--out", "--report", "--status"},
     "normalize": {"--in", "--out", "--abbrev"},
     "stats": {"--in", "--compare", "--json"},
     "bleu": {"--hyp", "--ref", "--smoothing", "--json"},
@@ -159,7 +159,7 @@ def test_reduced_side_is_a_usage_error(tmp_path, capsys, side):
 # Each subcommand with every path option set, to a file in tmp_path.
 _PATH_COMMANDS = [
     ["clean", "--in", "c.jsonl", "--out", "out", "--report", "report",
-     "--config", "cfg.json"],
+     "--status", "status.txt"],
     ["normalize", "--in", "s.txt", "--out", "out", "--abbrev", "abbrev.tsv"],
     ["stats", "--in", "c.jsonl", "--compare", "c.jsonl"],
     ["bleu", "--hyp", "s.txt", "--ref", "s.txt"],
@@ -177,7 +177,7 @@ _EMPTY_PATHS = [(argv, i) for argv in _PATH_COMMANDS
     f"{argv[0]} {argv[i]}" for argv, i in _EMPTY_PATHS])
 def test_empty_path_is_usage_error(tmp_path, capsys, argv, blank):
     for name, text in [("c.jsonl", '{"id":"a","text":"x"}'),
-                       ("s.txt", "a b"), ("cfg.json", "{}"),
+                       ("s.txt", "a b"), ("status.txt", "Nur dieses"),
                        ("abbrev.tsv", "z.B.\tzum Beispiel"),
                        ("stops.txt", "der"),
                        ("m.jsonl", '{"id":"a","frame_count":70}')]:
@@ -473,21 +473,15 @@ _FIELD_VALUES = {
     "frame_count": _FRAMES,
     "width": _FRAMES,
     "height": _FRAMES,
-    "status_patterns": st.lists(st.text(max_size=6), max_size=3),
-    # Not a config field: drawn to reach the unknown-field error.
-    "enabled_rules": st.lists(st.sampled_from(
-        ["STATUS_MESSAGE", "HASHTAG_START", "NO_SUCH_RULE"]), max_size=2),
-    "foreign_threshold": st.floats(),
 }
 
 
 @st.composite
-def _jsonl_input(draw, fields, indent=None):
+def _jsonl_input(draw, fields):
     """Bytes of a JSONL input: random bytes, or lines of objects whose
     fields are valid, random JSON values or absent, of other JSON values
     and of text, with mixed LF and CRLF ends, maybe behind a BOM and maybe
-    cut anywhere. With ``indent``, objects span several lines, as in a
-    config file."""
+    cut anywhere."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=64))
     lines = []
@@ -501,8 +495,7 @@ def _jsonl_input(draw, fields, indent=None):
                 if choice != "absent":
                     obj[name] = draw(_FIELD_VALUES[name]
                                      if choice == "valid" else _JSON_ANY)
-            lines.append(json.dumps(obj, ensure_ascii=draw(st.booleans()),
-                                    indent=indent))
+            lines.append(json.dumps(obj, ensure_ascii=draw(st.booleans())))
         elif shape == "value":
             lines.append(json.dumps(draw(_JSON_ANY)))
         else:
@@ -522,8 +515,7 @@ _INPUTS = {
     "clean": _jsonl_input(_CORPUS_FIELDS),
     "stats": _jsonl_input(_CORPUS_FIELDS),
     "plan": _jsonl_input(("id", "frame_count", "width", "height")),
-    "clean --config": _jsonl_input(
-        ("status_patterns", "enabled_rules", "foreign_threshold"), indent=1),
+    "clean --status": _fuzz_input(),
     "normalize --abbrev": _fuzz_input(),
     "reduced-bleu --stoplist": _fuzz_input(),
     "stats --compare": _jsonl_input(_CORPUS_FIELDS),
@@ -533,13 +525,10 @@ _INPUTS = {
     "reduced-bleu --hyp": _fuzz_input(),
     "select --hyp": _fuzz_input(),
 }
-# Errors about a whole file, not one of its lines. Malformed JSON in a
-# config names its line once the file holds a "\n".
+# Errors about a whole file, not one of its lines.
 _FILE_ERRORS = (r"duplicate id .* \(lines \d+ and \d+\)|reference corpus is "
                 r"empty|duration_s values sum past|the change in hours|"
                 r"\d+ segments vs \d+ in ")
-_CONFIG_ERRORS = (r"(unknown )?field '|JSON nested too deeply|"
-                  r"expected a JSON object")
 
 
 @pytest.mark.parametrize("command", list(_INPUTS))
@@ -563,8 +552,8 @@ def test_jsonl_fuzz_exits_0_or_names_the_file_and_line(tmp_path, command):
                           "--report", report],
                 "stats": ["stats", "--in", inp, "--json"],
                 "plan": ["plan", "--manifest", inp, "--out", out],
-                "clean --config": ["clean", "--in", corpus, "--out", out,
-                                   "--config", inp],
+                "clean --status": ["clean", "--in", corpus, "--out", out,
+                                   "--status", inp],
                 "normalize --abbrev": ["normalize", "--in", segs, "--out",
                                        out, "--abbrev", inp],
                 "reduced-bleu --stoplist": ["reduced-bleu", "--hyp", segs,
@@ -591,16 +580,15 @@ def test_jsonl_fuzz_exits_0_or_names_the_file_and_line(tmp_path, command):
             named = re.match(rf"error: ({re.escape(str(inp))}|"
                              rf"{re.escape(str(corpus))}): ", message)
             assert named
-            unplaced = _FILE_ERRORS if command != "clean --config" else \
-                _CONFIG_ERRORS if b"\n" in data else \
-                f"{_CONFIG_ERRORS}|malformed JSON"
             assert re.match(rf"{re.escape(named.group())}"
-                            rf"(line \d+: |{unplaced})", message)
+                            rf"(line \d+: |{_FILE_ERRORS})", message)
             assert stdout.getvalue() == ""
             assert not out.exists() and not report.exists()
         elif command == "clean":
             load_corpus(out)
             assert len(load_segments(report)) == len(load_corpus(inp))
+        elif command == "clean --status":
+            assert [u.id for u in load_corpus(out)] in ([], ["a"])
         elif command == "plan":
             assert all("id" in json.loads(line)
                        for line in load_segments(out))
@@ -647,71 +635,71 @@ def test_stats_compare_text(tmp_path, capsys):
         "singletons           4         2        -2   -50.0%\n")
 
 
-@pytest.mark.parametrize("content", [b"{not json", b"[1, 2]",
-                                     b'{"enabled_rules": ["NO_SUCH_RULE"]}'])
-def test_clean_config_error_names_file(tmp_path, capsys, content):
-    corpus = tmp_path / "c.jsonl"
-    corpus.write_text('{"id":"a","text":"hallo"}\n', encoding="utf-8")
-    config = tmp_path / "cfg.json"
-    config.write_bytes(content)
-    assert main(["clean", "--in", str(corpus), "--out",
-                 str(tmp_path / "out.jsonl"), "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {config}: ")
+_STATUS_CORPUS = ('{"id":"a","text":"..."}\n{"id":"b","text":"–"}\n'
+                  '{"id":"c","text":"1:1-Untertitelung."}\n'
+                  '{"id":"d","text":"Nur dieses!"}\n')
 
 
-def test_clean_config_unknown_field_is_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("content, kept", [
+    (b"", ["a", "b", "c", "d"]),
+    (b"\n \r\n\t\n", ["a", "b", "c", "d"]),
+    (b"Nur dieses\n", ["a", "b", "c"]),
+    ("1:1-Untertitelung.\nLivepassagen können Fehler enthalten.\n"
+     "Mit Live-Untertiteln von SWISS TXT\n".encode("utf-8"), ["a", "b", "d"]),
+], ids=["empty", "blank-lines", "replaces-defaults", "copy-of-defaults"])
+def test_clean_status_file_replaces_the_defaults(tmp_path, content, kept):
+    """The file's patterns replace the bundled ones; a file with no
+    pattern keeps every status line, and blank lines are skipped."""
     corpus, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
-    corpus.write_text('{"id":"a","text":"#x"}\n{"id":"b","text":"hallo"}\n',
-                      encoding="utf-8")
-    config = tmp_path / "cfg.json"
-    config.write_text('{"status_pattern": ["hallo"]}', encoding="utf-8")
+    corpus.write_text(_STATUS_CORPUS, encoding="utf-8")
+    status = tmp_path / "status.txt"
+    status.write_bytes(content)
     assert main(["clean", "--in", str(corpus), "--out", str(out),
-                 "--config", str(config)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {config}: unknown field 'status_pattern'\n"
-    assert captured.out == "" and not out.exists()
+                 "--status", str(status)]) == 0
+    assert [u.id for u in load_corpus(out)] == kept
 
 
-@pytest.mark.parametrize("patterns", [
-    [""], ["Nur dieses", ""], ["1:1-Untertitelung. "],
-    ["\t1:1-Untertitelung."], [" "], ["Nur dieses", "\u3000"]])
-def test_clean_config_empty_status_pattern_is_data_error(tmp_path, capsys,
-                                                         patterns):
-    """Every text starts with "": an empty pattern would drop each line
-    that is punctuation only as a status message. A pattern with white
-    space at either end would never match, as the text is trimmed."""
+def test_clean_keeps_the_input_unicode_form(tmp_path):
+    """Rules match in NFC, but the output corpus and the report spans
+    keep the code points of the input."""
+    texts = ["Livepassagen können Fehler enthalten.", "*Geräusch* Grüezi",
+             "Er würde für die Kinder über alles tun."]
+    nfd = [unicodedata.normalize("NFD", t) for t in texts]
     corpus, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
-    corpus.write_text('{"id":"a","text":"..."}\n{"id":"b","text":"–"}\n'
-                      '{"id":"c","text":"1:1-Untertitelung."}\n',
-                      encoding="utf-8")
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"status_patterns": patterns}),
-                      encoding="utf-8")
+    report = tmp_path / "report.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"u{i}", "text": t}) + "\n"
+                              for i, t in enumerate(nfd)), encoding="utf-8")
     assert main(["clean", "--in", str(corpus), "--out", str(out),
-                 "--config", str(config)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (f"error: {config}: field 'status_patterns' "
-                            f"must not hold an empty pattern or one with "
-                            f"white space at either end\n")
-    assert re.match(_CONFIG_ERRORS, captured.err[len(f"error: {config}: "):])
-    assert captured.out == "" and not out.exists()
+                 "--report", str(report)]) == 0
+    assert [u.text for u in load_corpus(out)] == [
+        unicodedata.normalize("NFD", "Grüezi"), nfd[2]]
+    assert [json.loads(line) for line in load_segments(report)] == [
+        {"id": "u0", "verdict": "DROPPED", "hits": [["STATUS_MESSAGE",
+                                                     nfd[0]]]},
+        {"id": "u1", "verdict": "EDITED", "hits": [
+            ["ASTERISK_SOUND", unicodedata.normalize("NFD", "*Geräusch*")]]},
+        {"id": "u2", "verdict": "KEPT", "hits": []}]
 
 
-@pytest.mark.parametrize("command", ["stoplist", "abbrev"])
+@pytest.mark.parametrize("command", ["stoplist", "abbrev", "status"])
 def test_non_utf8_list_file_named(tmp_path, seg, capsys, command):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"der\n\xff\n")
     hyp, ref = seg("h.txt", ["der hund"]), seg("r.txt", ["der hund"])
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"id":"a","text":"hallo"}\n', encoding="utf-8")
     argv = {"stoplist": ["reduced-bleu", "--hyp", hyp, "--ref", ref,
                          "--stoplist", str(bad)],
             "abbrev": ["normalize", "--in", hyp, "--out",
-                       str(tmp_path / "out.txt"), "--abbrev", str(bad)]}
+                       str(tmp_path / "out.txt"), "--abbrev", str(bad)],
+            "status": ["clean", "--in", str(corpus), "--out",
+                       str(tmp_path / "out.jsonl"), "--status", str(bad)]}
     assert main(argv[command]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: {bad}: line 2: not valid UTF-8")
 
 
-# Each error about one line of a list, table, segment or config file names
+# Each error about one line of a list, table, segment or status file names
 # the file and the line.
 @pytest.mark.parametrize("command, content, message", [
     ("stoplist", b"der\nfoo bar\n", "line 2: invalid stop word: 'foo bar'"),
@@ -728,10 +716,18 @@ def test_non_utf8_list_file_named(tmp_path, seg, capsys, command):
     ("abbrev", b"Nr.\tNummer 1\n", "line 1: invalid abbreviation 'Nr.': "
      "'Nummer 1': "),
     ("normalize", b"x\ny\nab\xffc\n", "line 3: not valid UTF-8: "),
-    ("config", b'{\n "foreign_threshold": 0.5\n "x": 1\n}\n',
-     "line 3: malformed JSON: Expecting ',' delimiter\n"),
+    ("status", b"Nur dieses\n\n1:1-Untertitelung. \n",
+     "line 3: invalid status pattern '1:1-Untertitelung. ': a pattern must "
+     "not be empty or have white space at either end\n"),
+    ("status", b"Nur dieses\n\t1:1-Untertitelung.\n",
+     "line 2: invalid status pattern '\\t1:1-Untertitelung.': "),
+    ("status", b"\n \nNur dieses\xe3\x80\x80\n",
+     "line 3: invalid status pattern 'Nur dieses\\u3000': "),
+    ("status", b"Nur dieses\r\n\r\n\xc2\xa0x\r\n",
+     "line 3: invalid status pattern '\\xa0x': "),
 ], ids=["stoplist", "abbrev-empty", "abbrev-columns", "abbrev-space",
-        "abbrev-digit-key", "abbrev-digit-value", "utf8", "config"])
+        "abbrev-digit-key", "abbrev-digit-value", "utf8", "status-trailing",
+        "status-leading-tab", "status-ideographic-space", "status-crlf-nbsp"])
 def test_line_error_names_file_and_line(tmp_path, seg, capsys, command,
                                         content, message):
     bad = tmp_path / "bad"
@@ -744,8 +740,8 @@ def test_line_error_names_file_and_line(tmp_path, seg, capsys, command,
             "abbrev": ["normalize", "--in", hyp, "--out", str(out),
                        "--abbrev", str(bad)],
             "normalize": ["normalize", "--in", str(bad), "--out", str(out)],
-            "config": ["clean", "--in", str(corpus), "--out", str(out),
-                       "--config", str(bad)]}[command]
+            "status": ["clean", "--in", str(corpus), "--out", str(out),
+                       "--status", str(bad)]}[command]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {bad}: {message}")
@@ -1007,34 +1003,19 @@ _CORPUS_OK = '{"id":"z","text":"ok"}\n'
     ("manifest", '{"id":"a","frame_count":true}', "frame_count"),
     ("manifest", '{"frame_count":40}', "id"),
     ("manifest", '{"id":5,"frame_count":40}', "id"),
-    ("config", '{"status_patterns":"A"}', "status_patterns"),
-    # Not a field: any value of it is an unknown-field error.
-    ("config", '{"enabled_rules":"STATUS_MESSAGE"}', "enabled_rules"),
-    ("config", '{"foreign_threshold":true}', "foreign_threshold"),
 ])
 def test_mistyped_json_field_is_data_error(tmp_path, capsys, kind, content,
                                            field):
-    corpus, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
-    bad = tmp_path / "bad.json"
-    if kind == "config":
-        corpus.write_text(_CORPUS_OK + '{"id":"y","text":"A."}\n',
-                          encoding="utf-8")
-        bad.write_text(content, encoding="utf-8")
-        argv = ["clean", "--in", str(corpus), "--out", str(out),
-                "--config", str(bad)]
-        where = f"{bad}: "
-    else:
-        first = '{"id":"z","frame_count":40}\n' if kind == "manifest" \
-            else _CORPUS_OK
-        bad.write_text(first + content + "\n", encoding="utf-8")
-        argv = ["plan", "--manifest", str(bad)] if kind == "manifest" else \
-            ["clean", "--in", str(bad), "--out", str(out)]
-        where = f"{bad}: line 2: "
+    out, bad = tmp_path / "out.jsonl", tmp_path / "bad.json"
+    first = '{"id":"z","frame_count":40}\n' if kind == "manifest" \
+        else _CORPUS_OK
+    bad.write_text(first + content + "\n", encoding="utf-8")
+    argv = ["plan", "--manifest", str(bad)] if kind == "manifest" else \
+        ["clean", "--in", str(bad), "--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    expected = f"unknown field '{field}'\n" if field == "enabled_rules" \
-        else f"field '{field}' must be "
-    assert captured.err.startswith(f"error: {where}{expected}")
+    assert captured.err.startswith(
+        f"error: {bad}: line 2: field '{field}' must be ")
     assert captured.out == ""
     assert not out.exists()
 
@@ -1043,27 +1024,19 @@ def test_mistyped_json_field_is_data_error(tmp_path, capsys, kind, content,
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
-@pytest.mark.parametrize("command", ["clean", "stats", "plan", "config"])
+@pytest.mark.parametrize("command", ["clean", "stats", "plan"])
 def test_deeply_nested_json_is_data_error(tmp_path, capsys, command):
-    corpus, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
-    bad = tmp_path / "bad.json"
-    if command == "config":
-        corpus.write_text(_CORPUS_OK, encoding="utf-8")
-        bad.write_text(_DEEP_JSON, encoding="utf-8")
-        argv = ["clean", "--in", str(corpus), "--out", str(out),
-                "--config", str(bad)]
-        where = f"{bad}: "
-    else:
-        first = '{"id":"z","frame_count":40}\n' if command == "plan" \
-            else _CORPUS_OK
-        bad.write_text(first + _DEEP_JSON + "\n", encoding="utf-8")
-        argv = {"clean": ["clean", "--in", str(bad), "--out", str(out)],
-                "stats": ["stats", "--in", str(bad)],
-                "plan": ["plan", "--manifest", str(bad)]}[command]
-        where = f"{bad}: line 2: "
+    out, bad = tmp_path / "out.jsonl", tmp_path / "bad.json"
+    first = '{"id":"z","frame_count":40}\n' if command == "plan" \
+        else _CORPUS_OK
+    bad.write_text(first + _DEEP_JSON + "\n", encoding="utf-8")
+    argv = {"clean": ["clean", "--in", str(bad), "--out", str(out)],
+            "stats": ["stats", "--in", str(bad)],
+            "plan": ["plan", "--manifest", str(bad)]}[command]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {where}JSON nested too deeply")
+    assert captured.err.startswith(
+        f"error: {bad}: line 2: JSON nested too deeply")
     assert captured.out == ""
     assert not out.exists()
 

@@ -7,8 +7,7 @@ import re
 
 import pytest
 
-from slt_toolkit.cleaning import CleanConfig, CleanOutcome, RuleName, \
-    Verdict
+from slt_toolkit.cleaning import CleanOutcome, RuleName, Verdict
 from slt_toolkit.corpus import CorpusError, Source, Utterance
 from slt_toolkit.frameplan import WindowPlan
 from slt_toolkit.metrics import BleuScore, CandidateScores, \
@@ -27,8 +26,6 @@ RECORDS = [
     (CleanOutcome, dict(id="a", verdict=Verdict.EDITED,
                         hits=((RuleName.ASTERISK_SOUND, "*x*"),), text="y"),
      ("verdict", Verdict.KEPT)),
-    (CleanConfig, dict(status_patterns=("x",), foreign_threshold=0.5),
-     ("foreign_threshold", 0.3)),
     (AbbrevTable, dict(entries={"Mrd.": "Milliarden"}),
      ("entries", {"Mio.": "Millionen"})),
     (BleuScore, dict(score=50.0, precisions=(0.5, 0.5, 0.5, 1.0),
