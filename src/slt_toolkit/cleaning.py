@@ -25,8 +25,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Utterance, bundled_lines, function_words, jsonl_line, \
-    load_segments, parse_lines, write_segments
+from .corpus import DATA, Utterance, function_words, jsonl_line, \
+    parse_lines, write_segments
 
 
 class RuleName(Enum):
@@ -65,9 +65,9 @@ def default_profiles() -> Mapping[Language, frozenset[str]]:
     """Each language's bundled function words, in the order DE, FR, EN;
     built once per process and shared, read-only, by all callers."""
     return MappingProxyType({
-        Language.DE: function_words(bundled_lines("stopwords_de.txt")),
-        Language.FR: function_words(bundled_lines("function_words_fr.txt")),
-        Language.EN: function_words(bundled_lines("function_words_en.txt")),
+        Language.DE: function_words(DATA / "stopwords_de.txt"),
+        Language.FR: function_words(DATA / "function_words_fr.txt"),
+        Language.EN: function_words(DATA / "function_words_en.txt"),
     })
 
 
@@ -83,21 +83,15 @@ def _status_pattern(pattern: str) -> str:
     return pattern
 
 
-def _patterns_from_lines(lines: Iterable[str], path: str | Path
-                         ) -> tuple[str, ...]:
-    return tuple(p for _, p in parse_lines(lines, path, _status_pattern))
+def read_status_patterns(path: str | Path) -> tuple[str, ...]:
+    """The nonblank lines of a status-pattern file, each in NFC."""
+    return tuple(p for _, p in parse_lines(path, _status_pattern))
 
 
 @cache
 def default_status_patterns() -> tuple[str, ...]:
     """The bundled agency boilerplate literals, read once per process."""
-    name = "status_de.txt"
-    return _patterns_from_lines(bundled_lines(name), name)
-
-
-def read_status_patterns(path: str | Path) -> tuple[str, ...]:
-    """The nonblank lines of a status-pattern file, each in NFC."""
-    return _patterns_from_lines(load_segments(path), path)
+    return read_status_patterns(DATA / "status_de.txt")
 
 
 _FOREIGN_THRESHOLD = 0.3
@@ -143,7 +137,10 @@ def detect_language(text: str, profiles: Mapping[Language, frozenset[str]]
 
 def match_status_message(text: str, patterns: Iterable[str]) -> bool:
     """True if the trimmed text in NFC is a pattern, or a pattern plus
-    trailing punctuation/whitespace only."""
+    trailing punctuation/whitespace only. The patterns must be in NFC, the
+    form ``read_status_patterns``, ``default_status_patterns`` and
+    ``clean_corpus`` give them: they are compared as they are, since
+    putting each in NFC on every call would cost every utterance."""
     trimmed = unicodedata.normalize("NFC", text).strip()
     for pattern in patterns:
         if trimmed == pattern:

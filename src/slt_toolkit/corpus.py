@@ -2,7 +2,9 @@
 
 Corpora are stored as JSON Lines (one utterance object per line); hypothesis
 and reference files are plain text with one segment per line. Both formats
-are UTF-8, accept LF or CRLF on read and emit LF on write.
+are UTF-8, accept LF or CRLF on read and emit LF on write. Every other line
+file, user files and the data files shipped in ``DATA`` alike, is read and
+parsed by ``parse_lines``: this module is the package's only file I/O.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import json
 import re
 import sys
 from enum import Enum
-from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -84,32 +85,33 @@ def _split_lines(raw: str) -> tuple[str, ...]:
     return tuple(lines)
 
 
-@cache
-def bundled_lines(name: str) -> tuple[str, ...]:
-    """Lines of a data file shipped in ``slt_toolkit/data``, read once per
-    process."""
-    return _split_lines(read_text(Path(__file__).parent / "data" / name))
+# The data files shipped with the package.
+DATA = Path(__file__).parent / "data"
 
 
-def function_words(lines: Iterable[str]) -> frozenset[str]:
-    """The nonblank lines of a word list, stripped and lowercased; each
-    must be one ``str.split()`` token."""
-    words = set()
-    for line in lines:
-        if word := line.strip().lower():
-            if word.split() != [word]:
-                raise ValueError(f"invalid stop word: {word!r}")
-            words.add(word)
-    return frozenset(words)
+def function_word(line: str) -> str:
+    """One nonblank line of a word list, stripped and lowercased; it must
+    be one ``str.split()`` token."""
+    word = line.strip().lower()
+    if word.split() != [word]:
+        raise ValueError(f"invalid stop word: {word!r}")
+    return word
 
 
-def parse_lines(lines: Iterable[str], path: str | Path,
-                parse: Callable[[str], object]) -> list[tuple[int, object]]:
-    """(line number, ``parse(line)``) for each nonblank line. A ValueError
-    from ``parse`` becomes a CorpusError that names the file and the line:
-    this is the one place that says where in a file a line is wrong."""
+def function_words(path: str | Path) -> frozenset[str]:
+    """The ``function_word`` of each nonblank line of a word-list file."""
+    return frozenset(word for _, word in parse_lines(path, function_word))
+
+
+def parse_lines(path: str | Path, parse: Callable[[str], object]
+                ) -> list[tuple[int, object]]:
+    """(line number, ``parse(line)``) for each nonblank line of the file at
+    ``path``, a user file or one under ``DATA``. A ValueError from ``parse``
+    becomes a CorpusError that names the path and the line: this is the
+    one loop that parses a file's lines, and so the one place that says
+    where in a file a line is wrong."""
     parsed = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(load_segments(path), start=1):
         if line and not line.isspace():
             try:
                 parsed.append((lineno, parse(line)))
@@ -191,7 +193,7 @@ def _utterance(line: str) -> Utterance:
 def load_corpus(path: str | Path) -> tuple[Utterance, ...]:
     """Read a JSONL corpus; one object per line with at least id and text.
     Ids are unique: a repeated id is an error that names both lines."""
-    parsed = parse_lines(load_segments(path), path, _utterance)
+    parsed = parse_lines(path, _utterance)
     first_lines: dict[str, int] = {}
     for lineno, utt in parsed:
         if (first := first_lines.setdefault(utt.id, lineno)) != lineno:

@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import json_field, json_object, load_segments, parse_lines
+from .corpus import json_field, json_object, parse_lines
 
 
 # Gray padding as factors of the frame: 20% left and right, 7.5% top and
@@ -100,4 +100,4 @@ def plan_manifest(path: str | Path) -> list[tuple[str, WindowPlan]]:
                 plan_windows(json_field(obj, "frame_count", int),
                              json_field(obj, "width", int, None),
                              json_field(obj, "height", int, None)))
-    return [plan for _, plan in parse_lines(load_segments(path), path, parse)]
+    return [plan for _, plan in parse_lines(path, parse)]

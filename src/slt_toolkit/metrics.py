@@ -25,8 +25,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Literal, NamedTuple, Sequence, get_args
 
-from .corpus import bundled_lines, function_words, load_segments, \
-    parse_lines
+from .corpus import DATA, function_word, function_words
 
 NGRAM_ORDER = 4
 
@@ -178,25 +177,28 @@ def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuS
     return _score(*stats, smoothing)
 
 
-def stop_words(lines: Iterable[str]) -> frozenset[str]:
-    """A stop list: the ``function_words`` of ``lines``, and the
-    apostrophe-stripped form of each ("geht's" -> "gehts") unless empty."""
-    words = function_words(lines)
+def _with_bare_forms(words: Iterable[str]) -> frozenset[str]:
+    """The words and the apostrophe-stripped form of each ("geht's" ->
+    "gehts") unless empty."""
+    words = frozenset(words)
     return words | {bare for w in words if (bare := w.replace("'", ""))}
+
+
+def stop_words(lines: Iterable[str]) -> frozenset[str]:
+    """A stop list: the ``function_word`` of each nonblank line and its
+    apostrophe-stripped form."""
+    return _with_bare_forms(map(function_word, filter(str.strip, lines)))
 
 
 def read_stop_words(path: str | Path) -> frozenset[str]:
     """The stop list of a file; errors name the file and the line."""
-    lines = load_segments(path)
-    # Each line on its own first, so that an invalid word names its line.
-    parse_lines(lines, path, lambda line: function_words((line,)))
-    return stop_words(lines)
+    return _with_bare_forms(function_words(path))
 
 
 @cache
 def default_stoplist() -> frozenset[str]:
     """The bundled list, built once per process and shared by all callers."""
-    return stop_words(bundled_lines("stopwords_de.txt"))
+    return read_stop_words(DATA / "stopwords_de.txt")
 
 
 def remove_stopwords(segment: str, stops: frozenset[str]) -> str:

@@ -20,9 +20,9 @@ import unicodedata
 from functools import cache, cached_property, partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
-from .corpus import Checked, bundled_lines, load_segments, parse_lines
+from .corpus import DATA, Checked, parse_lines
 from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 
 
@@ -85,12 +85,13 @@ class AbbrevTable(Checked, _AbbrevTableFields):
 
     @staticmethod
     def from_tsv(path: str | Path) -> "AbbrevTable":
-        return _table_from_lines(load_segments(path), path)
+        return AbbrevTable(dict(row for _, row in parse_lines(path, _row)))
 
 
 def _row(line: str) -> tuple[str, str]:
     """One TSV row, abbreviation in NFC and expansion, checked as a table
-    of one."""
+    of one: so an invalid row fails here, where ``parse_lines`` adds its
+    line number."""
     parts = line.split("\t")
     if len(parts) != 2:
         raise ValueError("expected two columns")
@@ -98,15 +99,10 @@ def _row(line: str) -> tuple[str, str]:
     return row
 
 
-def _table_from_lines(lines: Iterable[str], path: str | Path) -> AbbrevTable:
-    return AbbrevTable(dict(row for _, row in parse_lines(lines, path, _row)))
-
-
 @cache
 def default_abbrev_table() -> AbbrevTable:
     """The bundled table, read once per process and shared by all callers."""
-    name = "abbreviations_de.tsv"
-    return _table_from_lines(bundled_lines(name), name)
+    return AbbrevTable.from_tsv(DATA / "abbreviations_de.tsv")
 
 
 _MAX_DIGITS = len(str(MAX_NUMBER))  # MAX_NUMBER is all nines
@@ -118,11 +114,11 @@ def _spell_integer(digits: str) -> str:
     significant = digits.lstrip("0")
     if len(significant) <= _MAX_DIGITS:
         return spell_number_de(int(significant or "0"))
-    # Oversized numbers: spell in 3-digit groups from the left.
-    groups = []
-    head = len(digits) % 3 or 3
-    groups.append(digits[:head])
-    groups.extend(digits[i:i + 3] for i in range(head, len(digits), 3))
+    # Oversized numbers: spell the significant digits in 3-digit groups
+    # from the left; leading zeros do not count here either.
+    head = len(significant) % 3 or 3
+    groups = [significant[:head], *(significant[i:i + 3] for i in
+                                    range(head, len(significant), 3))]
     return " ".join(spell_number_de(int(g)) for g in groups)
 
 

@@ -196,6 +196,17 @@ def test_status_patterns_are_kept_in_nfc():
     assert cleaned == () and outcomes[0].verdict is Verdict.DROPPED
 
 
+def test_nfd_pattern_drops_both_forms_of_the_line():
+    """clean_corpus puts its patterns in NFC, the form
+    match_status_message needs, so an NFD pattern drops the line in
+    either form."""
+    text = "Livepassagen können Fehler enthalten."
+    nfd = unicodedata.normalize("NFD", text)
+    cleaned, outcomes = clean_corpus(_corpus([text, nfd, "hallo"]), [nfd])
+    assert [u.text for u in cleaned] == ["hallo"]
+    assert [o.hits[0][0] for o in outcomes[:2]] == [RuleName.STATUS_MESSAGE] * 2
+
+
 # Texts that mix precomposed letters, sound cues, hashtags, spaces and the
 # status literals.
 _NFC_TEXT = st.lists(st.one_of(

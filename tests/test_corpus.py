@@ -235,6 +235,28 @@ def test_input_decoding_lives_in_corpus():
     assert found == []
 
 
+_FILE_IO = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def test_file_io_lives_in_corpus():
+    """corpus is the one module that reads or writes a file: no other
+    module calls open, .read_text, .read_bytes, .write_text or
+    .write_bytes."""
+    package = Path(__file__).resolve().parent.parent / "src" / "slt_toolkit"
+    found = []
+    for module in sorted(package.glob("*.py")):
+        if module.name == "corpus.py":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        found += [f"{module.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name)
+                       and node.func.id == "open"
+                       or isinstance(node.func, ast.Attribute)
+                       and node.func.attr in _FILE_IO)]
+    assert found == []
+
+
 def _json_object_oracle(text):
     """json_object as first written: json.loads on every text. Errors
     carry no location, in a text of several lines too."""

@@ -275,6 +275,20 @@ def test_normalize_long_leading_zero_run(digits, expected):
     assert normalize_text(digits) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(digits=st.from_regex(r"[1-9][0-9]{0,29}", fullmatch=True),
+       zeros=st.integers(1, 6))
+def test_leading_zeros_do_not_count(digits, zeros):
+    """Leading zeros change no spelling, above 12 significant digits too,
+    where a number is spelled in groups of three, and in the dotted form
+    with thousands separators."""
+    assert normalize_text("0" * zeros + digits) == normalize_text(digits)
+    padded = "0" * (-len(digits) % 3) + digits
+    dotted = ".".join(["000", *(padded[i:i + 3]
+                                for i in range(0, len(padded), 3))])
+    assert normalize_text(dotted) == normalize_text(digits)
+
+
 def test_normalize_umlauts_survive():
     assert normalize_text("Straße & Größe") == "straße größe"
 
