@@ -23,7 +23,7 @@ _MODULES = {
     "itn": ("contract_numbers_de", "restore_display"),
     "metrics": ("BleuScore", "bleu", "count_stopwords", "default_stoplist",
                 "read_stop_words", "reduced_bleu", "remove_stopwords",
-                "select_checkpoint", "stop_words"),
+                "select_checkpoint"),
     "stats": ("CorpusStats", "compare_stats", "vocab_stats"),
     "frameplan": ("WindowPlan", "plan_padding", "plan_windows"),
 }

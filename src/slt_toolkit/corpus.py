@@ -5,6 +5,8 @@ and reference files are plain text with one segment per line. Both formats
 are UTF-8, accept LF or CRLF on read and emit LF on write. Every other line
 file, user files and the data files shipped in ``DATA`` alike, is read and
 parsed by ``parse_lines``: this module is the package's only file I/O.
+Every word list, a stop list or a language profile, is built and checked
+by ``function_words`` alone.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import unicodedata
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -89,18 +92,19 @@ def _split_lines(raw: str) -> tuple[str, ...]:
 DATA = Path(__file__).parent / "data"
 
 
-def function_word(line: str) -> str:
-    """One nonblank line of a word list, stripped and lowercased; it must
-    be one ``str.split()`` token."""
-    word = line.strip().lower()
+def _word(line: str) -> str:
+    word = unicodedata.normalize("NFC", line).strip().lower()
     if word.split() != [word]:
-        raise ValueError(f"invalid stop word: {word!r}")
+        raise ValueError(f"invalid word: {word!r}")
     return word
 
 
 def function_words(path: str | Path) -> frozenset[str]:
-    """The ``function_word`` of each nonblank line of a word-list file."""
-    return frozenset(word for _, word in parse_lines(path, function_word))
+    """The words of a word-list file, a stop list or a language profile:
+    each nonblank line in NFC, stripped and lowercased, the form a token of
+    NFC text takes after ``.lower()``. A line must be one ``str.split()``
+    token."""
+    return frozenset(word for _, word in parse_lines(path, _word))
 
 
 def parse_lines(path: str | Path, parse: Callable[[str], object]

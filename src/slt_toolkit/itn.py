@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .numbers_de import NUMBER_PIECES, NUMBER_START_PIECES, _SCALES, \
+from .numbers_de import NUMBER_PIECES, NUMBER_START_PIECES, SCALES, \
     parse_number_de
 
 # Longest run of adjacent tokens tried as one spelled number ("zwei
@@ -18,7 +18,7 @@ from .numbers_de import NUMBER_PIECES, NUMBER_START_PIECES, _SCALES, \
 # scale word, every scale and tausend give a coefficient and the scale word,
 # and the last group adds one token ("zwei milliarden drei millionen vier
 # tausend fünf").
-_MAX_RUN = 2 * (len(_SCALES) + 1) + 1
+_MAX_RUN = 2 * (len(SCALES) + 1) + 1
 
 # Exact preconditions for parse_number_de, so that tokens no number word
 # can start with or contain are never joined and parsed. A run starts only

@@ -7,9 +7,12 @@ shorter than the reference. Tokenization is whitespace splitting; inputs
 are assumed pre-normalized; scores sum per-segment sufficient statistics.
 
 Reduced BLEU deletes blacklisted stop/function words from both sides
-before scoring, the one reading ``select_checkpoint`` ranks by. For a
-hypothesis-only reading, score ``remove_stopwords`` of each hypothesis with
-``bleu``.
+before scoring, the one reading ``select_checkpoint`` ranks by; ``bleu`` is
+reduced BLEU with no stop words. For a hypothesis-only reading, score
+``remove_stopwords`` of each hypothesis with ``bleu``. A stop list is read
+from a word-list file by ``corpus.function_words``, so its words are in
+NFC, stripped and lowercased, with the apostrophe-stripped form of each
+added.
 
 Large inputs are scored in forked shards (``shards.forked_map``); README.md
 says when.
@@ -23,9 +26,9 @@ from functools import cache
 from itertools import chain
 from operator import add
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple, Sequence, get_args
+from typing import Literal, NamedTuple, Sequence, get_args
 
-from .corpus import DATA, function_word, function_words
+from .corpus import DATA, function_words
 
 NGRAM_ORDER = 4
 
@@ -37,12 +40,11 @@ class ScoringError(ValueError):
     """Raised on misaligned or empty scoring inputs."""
 
 
-def _check(name: str, value: str, choices) -> None:
-    """A ValueError unless ``value`` is one of the ``Literal`` ``choices``."""
-    allowed = get_args(choices)
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of "
-                         f"{', '.join(map(repr, allowed))}, not {value!r}")
+def _check_smoothing(smoothing: str) -> None:
+    allowed = get_args(Smoothing)
+    if smoothing not in allowed:
+        raise ValueError("smoothing must be one of "
+                         f"{', '.join(map(repr, allowed))}, not {smoothing!r}")
 
 
 class BleuScore(NamedTuple):
@@ -171,28 +173,15 @@ def _sums(rows: Sequence[tuple[str, ...]], views: Sequence[frozenset[str]],
 
 
 def bleu(hyps: Segments, refs: Segments, smoothing: Smoothing = "none") -> BleuScore:
-    _check("smoothing", smoothing, Smoothing)
-    [[stats]] = _accumulate([("segment count mismatch", hyps)], refs,
-                            [frozenset()])
-    return _score(*stats, smoothing)
-
-
-def _with_bare_forms(words: Iterable[str]) -> frozenset[str]:
-    """The words and the apostrophe-stripped form of each ("geht's" ->
-    "gehts") unless empty."""
-    words = frozenset(words)
-    return words | {bare for w in words if (bare := w.replace("'", ""))}
-
-
-def stop_words(lines: Iterable[str]) -> frozenset[str]:
-    """A stop list: the ``function_word`` of each nonblank line and its
-    apostrophe-stripped form."""
-    return _with_bare_forms(map(function_word, filter(str.strip, lines)))
+    return reduced_bleu(hyps, refs, frozenset(), smoothing)
 
 
 def read_stop_words(path: str | Path) -> frozenset[str]:
-    """The stop list of a file; errors name the file and the line."""
-    return _with_bare_forms(function_words(path))
+    """The ``function_words`` of a file and the apostrophe-stripped form of
+    each ("geht's" -> "gehts") unless empty; errors name the file and the
+    line."""
+    words = function_words(path)
+    return words | {bare for w in words if (bare := w.replace("'", ""))}
 
 
 @cache
@@ -207,7 +196,7 @@ def remove_stopwords(segment: str, stops: frozenset[str]) -> str:
 
 def reduced_bleu(hyps: Segments, refs: Segments, stops: frozenset[str],
                  smoothing: Smoothing = "none") -> BleuScore:
-    _check("smoothing", smoothing, Smoothing)
+    _check_smoothing(smoothing)
     [[stats]] = _accumulate([("segment count mismatch", hyps)], refs,
                             [stops])
     return _score(*stats, smoothing)
@@ -250,7 +239,7 @@ def select_checkpoint(candidates: Sequence[tuple[str, Segments]],
                       smoothing: Smoothing = "none") -> SelectionReport:
     """Rank candidates by reduced BLEU; ties break toward fewer stop words,
     then lexicographic name."""
-    _check("smoothing", smoothing, Smoothing)
+    _check_smoothing(smoothing)
     if not candidates:
         raise ScoringError("need at least one candidate")
     seen = set()

@@ -20,15 +20,15 @@ _TENS = ["", "", "zwanzig", "dreißig", "vierzig", "fünfzig", "sechzig",
 
 # The feminine scale words above tausend, largest first: (value, singular
 # after "eine", plural after any other coefficient).
-_SCALES = ((10 ** 9, "milliarde", "milliarden"),
-           (10 ** 6, "million", "millionen"))
+SCALES = ((10 ** 9, "milliarde", "milliarden"),
+          (10 ** 6, "million", "millionen"))
 
 # Every spelling parse_number_de accepts is a concatenation of these
 # pieces, and begins with one of the start pieces.
 NUMBER_START_PIECES = frozenset(
     _UNITS[1:] + _TEENS + _TENS[2:] + ["ein", "eine", "null"])
 NUMBER_PIECES = NUMBER_START_PIECES | {"hundert", "und", "tausend"} | {
-    word for _, one, many in _SCALES for word in (one, many)}
+    word for _, one, many in SCALES for word in (one, many)}
 
 MONTHS = ["januar", "februar", "märz", "april", "mai", "juni", "juli",
           "august", "september", "oktober", "november", "dezember"]
@@ -49,16 +49,11 @@ def _spell_under_100(n: int, one: str) -> str:
     return _spell_under_100(unit, "ein") + "und" + _TENS[tens]
 
 
-def _spell_under_1000(n: int, one: str = "eins") -> str:
-    hundreds, rest = divmod(n, 100)
-    head = _spell_under_100(hundreds, "ein") + "hundert" if hundreds else ""
-    return head + _spell_under_100(rest, one)
-
-
 def _spellings(one: str) -> list[str]:
-    """[_spell_under_1000(n, one) for n in 0..999], "" for 0, joined from
-    10 hundred heads and 100 under-hundred tails."""
-    heads = [_spell_under_1000(100 * h) for h in range(10)]
+    """The spellings of 0..999 whose final "one" is ``one``, "" for 0,
+    joined from 10 hundred heads and 100 under-hundred tails."""
+    heads = [""] + [_spell_under_100(h, "ein") + "hundert"
+                    for h in range(1, 10)]
     tails = [_spell_under_100(n, one) for n in range(100)]
     return [head + tail for head in heads for tail in tails]
 
@@ -77,7 +72,7 @@ def spell_number_de(n: int) -> str:
     if n < 1000:
         return _SPELL_EINS[n] if n else "null"
     word = ""
-    for value, one, many in _SCALES:
+    for value, one, many in SCALES:
         coef, n = divmod(n, value)
         if coef:
             word += _SPELL_EINE[coef] + (one if coef == 1 else many)
@@ -101,7 +96,7 @@ def parse_number_de(word: str) -> int | None:
     rest = word
     total = 0
     if "milli" in word:  # neither scale split applies without it
-        for value, one, many in _SCALES:
+        for value, one, many in SCALES:
             idx = rest.find(one)
             if idx <= 0:
                 continue

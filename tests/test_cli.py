@@ -204,7 +204,7 @@ def test_reduced_bleu_delegates(seg, capsys):
     payload = json.loads(capsys.readouterr().out)
     expected = metrics.reduced_bleu(
         ["der hund bellt laut sehr gut"], ["die hund bellt laut sehr gut"],
-        metrics.stop_words(["der", "die"]))
+        metrics.read_stop_words(stops))
     assert payload == {"schema_version": 1} | expected.to_dict()
 
 
@@ -702,7 +702,9 @@ def test_non_utf8_list_file_named(tmp_path, seg, capsys, command):
 # Each error about one line of a list, table, segment or status file names
 # the file and the line.
 @pytest.mark.parametrize("command, content, message", [
-    ("stoplist", b"der\nfoo bar\n", "line 2: invalid stop word: 'foo bar'"),
+    ("stoplist", b"der\nfoo bar\n", "line 2: invalid word: 'foo bar'"),
+    ("stoplist", b"a\tb\n", "line 1: invalid word: 'a\\tb'\n"),
+    ("stoplist", b"der\n\nx y\n", "line 3: invalid word: 'x y'\n"),
     ("abbrev", b"usw.\t\n",
      "line 1: abbreviation keys and values must be nonempty"),
     ("abbrev", b"z.B.\tzum Beispiel\nusw.\tund\tso weiter\n",
@@ -725,9 +727,9 @@ def test_non_utf8_list_file_named(tmp_path, seg, capsys, command):
      "line 3: invalid status pattern 'Nur dieses\\u3000': "),
     ("status", b"Nur dieses\r\n\r\n\xc2\xa0x\r\n",
      "line 3: invalid status pattern '\\xa0x': "),
-], ids=["stoplist", "abbrev-empty", "abbrev-columns", "abbrev-space",
-        "abbrev-digit-key", "abbrev-digit-value", "utf8", "status-trailing",
-        "status-leading-tab", "status-ideographic-space", "status-crlf-nbsp"])
+], ids=["stoplist", "stoplist-tab", "stoplist-space", "abbrev-empty",
+        "abbrev-columns", "abbrev-space", "abbrev-digit-key",
+        "abbrev-digit-value", "utf8", "status-trailing", "status-leading-tab", "status-ideographic-space", "status-crlf-nbsp"])
 def test_line_error_names_file_and_line(tmp_path, seg, capsys, command,
                                         content, message):
     bad = tmp_path / "bad"

@@ -12,6 +12,7 @@ from slt_toolkit.corpus import (
     CorpusError,
     Source,
     Utterance,
+    function_words,
     json_object,
     load_corpus,
     load_segments,
@@ -255,6 +256,33 @@ def test_file_io_lives_in_corpus():
                        or isinstance(node.func, ast.Attribute)
                        and node.func.attr in _FILE_IO)]
     assert found == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name that starts with "_" is private to its module: no package
+    module imports one from another."""
+    package = Path(__file__).resolve().parent.parent / "src" / "slt_toolkit"
+    found = []
+    for module in sorted(package.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        found += [f"{module.name}:{node.lineno}: {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or node.module.startswith("slt_toolkit"))
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_function_words_in_nfc_and_a_bad_line_named(tmp_path):
+    """A word list of any language, not only a stop list: each line in
+    NFC, stripped and lowercased, and a line of two tokens named."""
+    path = tmp_path / "function_words_fr.txt"
+    path.write_text(" Le\nE\u0301te\u0301\n\nla\n", encoding="utf-8")
+    assert function_words(path) == {"le", "\u00e9t\u00e9", "la"}
+    path.write_text("le\nla\n\na b\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(
+            f"{path}: line 4: invalid word: 'a b'") + "$"):
+        function_words(path)
 
 
 def _json_object_oracle(text):

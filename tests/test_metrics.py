@@ -8,6 +8,7 @@ with the textbook formula.
 import math
 import os
 import random
+import unicodedata
 from collections import Counter
 from itertools import chain
 from unittest.mock import patch
@@ -22,6 +23,7 @@ from slt_toolkit.metrics import (
     bleu,
     count_stopwords,
     default_stoplist,
+    read_stop_words,
     reduced_bleu,
     remove_stopwords,
     select_checkpoint,
@@ -183,6 +185,28 @@ def test_stoplist_integrity():
     for word in stops:
         assert word == word.lower()
         assert " " not in word
+
+
+# Words with at least one umlaut, which NFD decomposes, and maybe "ß",
+# which it keeps.
+_UMLAUT_WORDS = st.tuples(
+    st.text("aouß", max_size=3), st.sampled_from("äöüÄÖÜ"),
+    st.text("aouäöüß", max_size=3)).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_UMLAUT_WORDS, min_size=1, max_size=5))
+def test_nfd_stop_list_reads_as_its_nfc_form(tmp_path_factory, words):
+    workdir = tmp_path_factory.mktemp("stoplist")
+    text = "".join(word + "\n" for word in words)
+    paths = [workdir / "nfc.txt", workdir / "nfd.txt"]
+    for path, form in zip(paths, ["NFC", "NFD"]):
+        path.write_text(unicodedata.normalize(form, text), encoding="utf-8")
+    nfc, nfd = map(read_stop_words, paths)
+    assert nfd == nfc
+    for stops in (nfc, nfd):
+        score = reduced_bleu([f"hund {words[0]}"], ["hund katze"], stops)
+        assert score.hyp_len == 1
 
 
 def test_remove_stopwords():

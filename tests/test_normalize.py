@@ -28,7 +28,7 @@ from slt_toolkit.normalize import (
 from slt_toolkit.numbers_de import (
     MAX_NUMBER,
     _days_in_month,
-    _spell_under_1000,
+    _spell_under_100,
     spell_date_de,
     spell_number_de,
     spell_ordinal_de,
@@ -96,6 +96,14 @@ def test_spell_number_out_of_range():
 def test_spell_number_injective_below_100k():
     spellings = {spell_number_de(n) for n in range(100_000)}
     assert len(spellings) == 100_000
+
+
+def _spell_under_1000(n, one="eins"):
+    """A group of three digits as first spelled: its hundreds, then the
+    rest with the final-"one" form ``one``."""
+    hundreds, rest = divmod(n, 100)
+    head = _spell_under_100(hundreds, "ein") + "hundert" if hundreds else ""
+    return head + _spell_under_100(rest, one)
 
 
 def _spell_number_oracle(n):

@@ -11,7 +11,7 @@ from slt_toolkit.cleaning import CleanOutcome, RuleName, Verdict
 from slt_toolkit.corpus import CorpusError, Source, Utterance
 from slt_toolkit.frameplan import WindowPlan
 from slt_toolkit.metrics import BleuScore, CandidateScores, \
-    SelectionReport, stop_words
+    SelectionReport
 from slt_toolkit.normalize import AbbrevTable
 from slt_toolkit.stats import CorpusStats, FieldDelta, SliceStats
 
@@ -91,10 +91,6 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
      _ABBREV_RULES.format("'Nr.': 'Nummer 1'")),
     (lambda: AbbrevTable({"Nr.": "Nummer ٣"}), ValueError,
      _ABBREV_RULES.format("'Nr.': 'Nummer ٣'")),
-    (lambda: stop_words(["a\tb"]), ValueError,
-     "invalid stop word: 'a\\tb'"),
-    (lambda: stop_words(["x y"]), ValueError,
-     "invalid stop word: 'x y'"),
     # _replace builds through the same checks.
     (lambda: Utterance("a", "x")._replace(id=""), CorpusError,
      "utterance id must be nonempty"),
@@ -104,8 +100,7 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
         "abbrev-digit-key", "abbrev-arabic-indic-digit-key",
         "abbrev-trailing-space", "abbrev-leading-tab", "abbrev-blank-key",
         "abbrev-digit-value", "abbrev-arabic-indic-digit-value",
-        "stoplist-tab", "stoplist-space", "utterance-replace",
-        "abbrev-replace"])
+        "utterance-replace", "abbrev-replace"])
 def test_record_validation_errors(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
