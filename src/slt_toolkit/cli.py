@@ -2,7 +2,8 @@
 
 Every subcommand is a thin delegator around the library: it loads the
 input files, calls the corresponding function and serializes the result.
-Each subcommand imports the modules it runs, so start-up loads only those.
+Start-up loads ``corpus`` and ``normalize`` (with ``numbers_de``) for every
+subcommand, and each subcommand imports only the other modules it runs.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 

@@ -56,7 +56,7 @@ class Utterance(Checked, _UtteranceFields):
                 duration_s: Optional[float] = None) -> "Utterance":
         if not id:
             raise CorpusError("utterance id must be nonempty")
-        if duration_s is not None and duration_s < 0:
+        if duration_s is not None and not duration_s >= 0:  # NaN too
             raise CorpusError(f"duration_s must be >= 0, got {duration_s}")
         return tuple.__new__(cls, (id, text, source, duration_s))
 

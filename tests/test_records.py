@@ -75,6 +75,8 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
     (lambda: Utterance("", "x"), CorpusError, "utterance id must be nonempty"),
     (lambda: Utterance("a", "x", duration_s=-1.0), CorpusError,
      "duration_s must be >= 0, got -1.0"),
+    (lambda: Utterance("a", "x", duration_s=float("nan")), CorpusError,
+     "duration_s must be >= 0, got nan"),
     (lambda: AbbrevTable({"z.B.": ""}), ValueError,
      "abbreviation keys and values must be nonempty"),
     (lambda: AbbrevTable({"1.": "erstens"}), ValueError,
@@ -96,7 +98,8 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
      "utterance id must be nonempty"),
     (lambda: AbbrevTable({"z.B.": "zum Beispiel"})._replace(entries={"": "x"}),
      ValueError, "abbreviation keys and values must be nonempty"),
-], ids=["utterance-id", "utterance-duration", "abbrev-empty",
+], ids=["utterance-id", "utterance-duration", "utterance-nan-duration",
+        "abbrev-empty",
         "abbrev-digit-key", "abbrev-arabic-indic-digit-key",
         "abbrev-trailing-space", "abbrev-leading-tab", "abbrev-blank-key",
         "abbrev-digit-value", "abbrev-arabic-indic-digit-value",

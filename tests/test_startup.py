@@ -1,8 +1,9 @@
 """Start-up loads only what the work needs, checked without timing.
 
 Each check runs in a fresh interpreter and lists the package's modules in
-``sys.modules``: ``import slt_toolkit`` loads none, the CLI loads the
-three that build its parser and every subcommand adds only its own.
+``sys.modules``: ``import slt_toolkit`` loads none, a submodule loads only
+the ones it imports, the CLI loads the three that build its parser and
+every subcommand adds only its own.
 Bundled data is read from files next to the package, without importing
 ``importlib.resources``.
 """
@@ -18,22 +19,6 @@ import slt_toolkit
 from slt_toolkit import numbers_de
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-# The package's exports, by the submodule that defines them.
-EXPORTS = {
-    "corpus": ["Source", "Utterance", "load_corpus", "load_segments",
-               "write_corpus", "write_segments"],
-    "cleaning": ["CleanOutcome", "Verdict", "clean_corpus", "detect_language",
-                 "match_status_message"],
-    "normalize": ["AbbrevTable", "normalize_text"],
-    "numbers_de": ["parse_number_de", "spell_date_de", "spell_number_de"],
-    "itn": ["contract_numbers_de", "restore_display"],
-    "metrics": ["BleuScore", "bleu", "count_stopwords", "default_stoplist",
-                "read_stop_words", "reduced_bleu", "remove_stopwords",
-                "select_checkpoint"],
-    "stats": ["CorpusStats", "compare_stats", "vocab_stats"],
-    "frameplan": ["WindowPlan", "plan_padding", "plan_windows"],
-}
 
 _LOADED = """\
 def loaded():
@@ -55,13 +40,12 @@ def test_package_import_loads_no_submodule():
     assert _run("import slt_toolkit\nprint(json.dumps(loaded()))") == []
 
 
-@pytest.mark.parametrize("name, loads", [
-    ("bleu", ["corpus", "metrics"]),
+@pytest.mark.parametrize("module, loads", [
     ("metrics", ["corpus", "metrics"]),
-    ("restore_display", ["itn", "numbers_de"]),
+    ("itn", ["itn", "numbers_de"]),
 ])
-def test_first_use_loads_the_defining_module(name, loads):
-    assert _run(f"import slt_toolkit\nslt_toolkit.{name}\n"
+def test_submodule_import_loads_only_what_it_needs(module, loads):
+    assert _run(f"import slt_toolkit.{module}\n"
                 "print(json.dumps(loaded()))") == loads
 
 
@@ -138,21 +122,18 @@ def test_metrics_adds_only_math_to_corpus(flags):
     assert added <= {"slt_toolkit.metrics", "math"}
 
 
-def test_exports_resolve_to_submodule_objects():
-    names = sorted(n for names in EXPORTS.values() for n in names)
-    assert slt_toolkit.__all__ == names
-    assert set(names) <= set(dir(slt_toolkit))
-    for module, exported in EXPORTS.items():
-        sub = getattr(slt_toolkit, module)
-        for name in exported:
-            assert getattr(slt_toolkit, name) is getattr(sub, name)
-    assert slt_toolkit.bleu is slt_toolkit.metrics.bleu
-    assert slt_toolkit.__version__ == "0.1.0"
+def test_version_matches_pyproject():
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert f'\nversion = "{slt_toolkit.__version__}"\n' in pyproject
 
 
 def test_unknown_name_is_an_error():
     with pytest.raises(ImportError):
         from slt_toolkit import nope  # noqa: F401
+    # The package re-exports nothing: names live in their submodules.
+    with pytest.raises(ImportError):
+        from slt_toolkit import bleu  # noqa: F401
+    assert not hasattr(slt_toolkit, "__all__")
     with pytest.raises(AttributeError):
         slt_toolkit.find_numeric_spans
 
