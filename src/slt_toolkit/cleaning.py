@@ -11,13 +11,12 @@ is dropped outright. Every rule always runs. Rule 3 matches the SWISS TXT
 literals of ``data/status_de.txt``, or the patterns of a line file that
 replaces them (an empty one switches the rule off); rule 4 drops a line
 whose French or English score wins and reaches 0.3. Both match the text in
-NFC, while outputs keep its code points.
+NFC, as ``corpus.nfc`` gives it, while outputs keep its code points.
 """
 
 from __future__ import annotations
 
 import re
-import unicodedata
 from enum import Enum
 from functools import cache
 from itertools import filterfalse
@@ -25,7 +24,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import DATA, Utterance, function_words, jsonl_line, \
+from .corpus import DATA, Utterance, function_words, jsonl_line, nfc, \
     parse_lines, write_segments
 
 
@@ -75,7 +74,7 @@ def _status_pattern(pattern: str) -> str:
     """One status pattern, in NFC. None is empty, since every text starts
     with "", and none has white space at either end, since it is compared
     with the trimmed text."""
-    pattern = unicodedata.normalize("NFC", pattern)
+    pattern = nfc(pattern)
     if not pattern or pattern != pattern.strip():
         raise ValueError(f"invalid status pattern {pattern!r}: a pattern "
                          f"must not be empty or have white space at either "
@@ -113,7 +112,7 @@ def detect_language(text: str, profiles: Mapping[Language, frozenset[str]]
     "d'" for FR). Returns the argmax language; ties (including empty text)
     break toward DE.
     """
-    tokens = unicodedata.normalize("NFC", text).lower().split()
+    tokens = nfc(text).lower().split()
     # Only tokens with a non-alphanumeric character are stripped, once for
     # all profiles: stripping every token costs more than the lookups.
     edged = [(t, _TOKEN_EDGE_RE.sub("", t))
@@ -141,7 +140,7 @@ def match_status_message(text: str, patterns: Iterable[str]) -> bool:
     form ``read_status_patterns``, ``default_status_patterns`` and
     ``clean_corpus`` give them: they are compared as they are, since
     putting each in NFC on every call would cost every utterance."""
-    trimmed = unicodedata.normalize("NFC", text).strip()
+    trimmed = nfc(text).strip()
     for pattern in patterns:
         if trimmed == pattern:
             return True

@@ -6,7 +6,8 @@ are UTF-8, accept LF or CRLF on read and emit LF on write. Every other line
 file, user files and the data files shipped in ``DATA`` alike, is read and
 parsed by ``parse_lines``: this module is the package's only file I/O.
 Every word list, a stop list or a language profile, is built and checked
-by ``function_words`` alone.
+by ``function_words`` alone. Every text the package puts in NFC goes
+through ``nfc``, which bounds the work of hostile combining-mark runs.
 """
 
 from __future__ import annotations
@@ -49,15 +50,19 @@ class _UtteranceFields(NamedTuple):
 
 
 class Utterance(Checked, _UtteranceFields):
-    """One subtitle line; the id is nonempty and a duration is >= 0."""
+    """One subtitle line; the id is nonempty and a duration is a finite
+    number >= 0, as a corpus file can hold it."""
     __slots__ = ()
 
     def __new__(cls, id: str, text: str, source: Source = Source.OTHER,
                 duration_s: Optional[float] = None) -> "Utterance":
         if not id:
             raise CorpusError("utterance id must be nonempty")
-        if duration_s is not None and not duration_s >= 0:  # NaN too
-            raise CorpusError(f"duration_s must be >= 0, got {duration_s}")
+        # NaN fails both comparisons.
+        if duration_s is not None and \
+                not 0 <= duration_s <= sys.float_info.max:
+            raise CorpusError(f"duration_s must be a finite number >= 0, "
+                              f"got {duration_s}")
         return tuple.__new__(cls, (id, text, source, duration_s))
 
 
@@ -91,9 +96,59 @@ def _split_lines(raw: str) -> tuple[str, ...]:
 # The data files shipped with the package.
 DATA = Path(__file__).parent / "data"
 
+# The Stream-Safe Text Format of Unicode UAX #15, section 13: U+034F
+# COMBINING GRAPHEME JOINER, a starter, after each 30 non-starters in a row.
+_MAX_NON_STARTERS = 30
+_CGJ = "\u034f"
+# Every character whose decomposition begins with a non-starter is at or
+# above U+0300 and adds at most 2 non-starters to a run, and the character
+# before a run adds at most 3: no run passes 30 in text without 14 such
+# code points in a row. One class and then 13 more, so that the search
+# skips in C to a character that can start a match; the classes are
+# negated, since the range up to U+10FFFF took 5-15 ms to compile (2 vCPUs,
+# Python 3.11).
+_LONG_RUN_CANDIDATE = re.compile("[^\x00-\u02ff][^\x00-\u02ff]{13}")
+
+
+def _stream_safe(text: str) -> str:
+    """``text`` with each character canonically decomposed and U+034F after
+    each 30 non-starters in a row. Each character is decomposed on its own,
+    so nothing is reordered across characters."""
+    out = []
+    run = 0
+    for ch in "".join([unicodedata.normalize("NFD", c) for c in text]):
+        if unicodedata.combining(ch):
+            run += 1
+            if run > _MAX_NON_STARTERS:
+                out.append(_CGJ)
+                run = 1
+        else:
+            run = 0
+        out.append(ch)
+    return "".join(out)
+
+
+def nfc(text: str) -> str:
+    """``text`` in NFC: the one home of Unicode normalization in the package.
+
+    CPython's NFC takes time quadratic in the length of a run of
+    non-starters (combining marks) that must be reordered, so a run of more
+    than 30 non-starters in the canonical decomposition is broken by U+034F
+    COMBINING GRAPHEME JOINER after each 30 first (UAX #15, section 13).
+    Runs are counted in the decomposition, where a character such as
+    U+0344 or U+0F73 is two non-starters and a precomposed letter adds its
+    marks to the run after it. Text without such a run gets exactly
+    ``unicodedata.normalize("NFC", text)``, and ``nfc(nfc(s)) == nfc(s)``
+    for every text."""
+    if text.isascii():
+        return text
+    if _LONG_RUN_CANDIDATE.search(text):
+        text = _stream_safe(text)
+    return unicodedata.normalize("NFC", text)
+
 
 def _word(line: str) -> str:
-    word = unicodedata.normalize("NFC", line).strip().lower()
+    word = nfc(line).strip().lower()
     if word.split() != [word]:
         raise ValueError(f"invalid word: {word!r}")
     return word

@@ -9,8 +9,9 @@ at one position an abbreviation wins, then a date, then a number, so that
 After one pass the output is NFC and contains no digits, no punctuation,
 symbol or format characters and no uppercase letters, which makes the
 pipeline idempotent. An empty abbreviation table turns off abbreviation
-expansion. NFKC is not applied: it would turn the thin spaces inside
-grouped numbers into plain spaces.
+expansion. NFC is ``corpus.nfc``, so a run of more than 30 combining
+marks keeps the U+034F it puts after each 30. NFKC is not applied: it
+would turn the thin spaces inside grouped numbers into plain spaces.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .corpus import DATA, Checked, parse_lines
+from .corpus import DATA, Checked, nfc, parse_lines
 from .numbers_de import MAX_NUMBER, spell_date_de, spell_number_de
 
 
@@ -50,8 +51,7 @@ class AbbrevTable(Checked, _AbbrevTableFields):
     holds the matcher once it is built."""
 
     def __new__(cls, entries: Mapping[str, str]) -> "AbbrevTable":
-        entries = {unicodedata.normalize("NFC", key): value
-                   for key, value in entries.items()}
+        entries = {nfc(key): value for key, value in entries.items()}
         for key, value in entries.items():
             if not key or not value:
                 raise ValueError("abbreviation keys and values must be nonempty")
@@ -188,9 +188,9 @@ def _expand(entries: Mapping[str, str], m: re.Match) -> str:
 def normalize_text(text: str, table: AbbrevTable | None = None) -> str:
     if table is None:
         table = default_abbrev_table()
-    text = unicodedata.normalize("NFC", text)
+    text = nfc(text)
     text = table.matcher.sub(partial(_expand, table.entries), text)
     text = text.translate(_CHAR_MAP)
     # A deleted format character or a spelled number can leave a combining
     # mark after a letter it now composes with.
-    return unicodedata.normalize("NFC", " ".join(text.lower().split()))
+    return nfc(" ".join(text.lower().split()))

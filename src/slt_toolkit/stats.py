@@ -1,9 +1,10 @@
 """Vocabulary, singleton and duration statistics per corpus source.
 
 Tokenization is whitespace-only, so the numbers are meaningful on raw as
-well as normalized text. The total slice is computed on the union of all
-utterances, not by summing per-source values: a word that is a singleton
-in two sources separately is not a singleton overall.
+well as normalized text. The total slice counts each word over the union
+of all utterances, the per-source counts added up, and does not sum
+per-source values: a word that is a singleton in two sources separately
+is not a singleton overall.
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ class CorpusStats(NamedTuple):
         return out
 
 
-def _slice_stats(utterances: Sequence[Utterance]) -> SliceStats:
-    # Split and counted in C, one text at a time: a split of all texts
-    # joined would hold every token of the slice at once.
-    freqs = Counter(chain.from_iterable(
-        map(str.split, [utt.text for utt in utterances])))
+def _slice_stats(utterances: Sequence[Utterance], freqs: Counter
+                 ) -> SliceStats:
     seconds = 0.0
     for utt in utterances:
         if utt.duration_s is not None:
@@ -48,13 +46,21 @@ def _slice_stats(utterances: Sequence[Utterance]) -> SliceStats:
 
 
 def vocab_stats(corpus: Sequence[Utterance]) -> CorpusStats:
+    """Each token is counted once, for its source. The total hours sum the
+    whole corpus in its order, as one slice's hours do."""
     per_source = {}
+    total: Counter = Counter()
     for source in Source:
         members = [u for u in corpus if u.source is source]
         if members:
-            per_source[source] = _slice_stats(members)
+            # Split and counted in C, one text at a time: a split of all
+            # texts joined would hold every token of the slice at once.
+            freqs = Counter(chain.from_iterable(
+                map(str.split, [utt.text for utt in members])))
+            total.update(freqs)
+            per_source[source] = _slice_stats(members, freqs)
     return CorpusStats(per_source=per_source,
-                       total=_slice_stats(corpus))
+                       total=_slice_stats(corpus, total))
 
 
 class FieldDelta(NamedTuple):

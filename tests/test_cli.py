@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import unicodedata
 from pathlib import Path
 
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from slt_toolkit import cli, metrics, shards
 from slt_toolkit.cli import main
-from slt_toolkit.corpus import load_corpus, load_segments
+from slt_toolkit.corpus import Utterance, load_corpus, load_segments, \
+    write_corpus, write_segments
 from slt_toolkit.frameplan import MAX_FRAME_COUNT
 from slt_toolkit.itn import restore_display
 from slt_toolkit.normalize import default_abbrev_table, normalize_text
@@ -1053,3 +1056,36 @@ def test_normalize_digit_run_over_int_str_limit(tmp_path, seg):
     assert long.split() == ["zehn"] + ["null"] * 1666
     assert max_number == spell_number_de(MAX_NUMBER)
     assert oversized == "eins null null null null"
+
+
+# A line of 200 000 marks of classes 220 and 230 in turn, which NFC must
+# reorder: a plain NFC of it would take about 38 s (extrapolated from 1.5 s
+# for 40 000 marks on a 2-vCPU host, Python 3.11), and clean puts each
+# line in NFC twice.
+_MARKS = 200_000
+_HOSTILE = "Z" + "\u0316\u0301" * (_MARKS // 2)
+
+
+@pytest.mark.parametrize("command", ["clean", "normalize"])
+def test_long_mark_run_is_linear(tmp_path, command):
+    """One hostile line among 200 ordinary ones: clean keeps it verbatim
+    and normalize breaks its run with U+034F, each in a fresh process well
+    within its time limit."""
+    lines = [f"Grüße aus Zürich, Zeile {i}." for i in range(200)] + [_HOSTILE]
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    if command == "clean":
+        write_corpus([Utterance(f"u{i}", line) for i, line in
+                      enumerate(lines)], inp)
+    else:
+        write_segments(lines, inp)
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-m", "slt_toolkit.cli", command, "--in",
+                    str(inp), "--out", str(out)], check=True, timeout=10,
+                   capture_output=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+    if command == "clean":
+        assert [u.text for u in load_corpus(out)] == lines
+    else:
+        *ordinary, hostile = load_segments(out)
+        assert len(ordinary) == 200
+        assert hostile.count("\u034f") == (_MARKS - 1) // 30

@@ -3,6 +3,8 @@
 import ast
 import json
 import re
+import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from slt_toolkit.corpus import (
     json_object,
     load_corpus,
     load_segments,
+    nfc,
     write_corpus,
     write_segments,
 )
@@ -258,6 +261,27 @@ def test_file_io_lives_in_corpus():
     assert found == []
 
 
+def test_unicode_normalization_lives_in_corpus():
+    """corpus.nfc is the one home of NFC: no other module calls
+    unicodedata.normalize or imports it. Other unicodedata functions, such
+    as category and digit, are free to use."""
+    package = Path(__file__).resolve().parent.parent / "src" / "slt_toolkit"
+    found = []
+    for module in sorted(package.glob("*.py")):
+        if module.name == "corpus.py":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        found += [f"{module.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "normalize"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "unicodedata"
+                  or isinstance(node, ast.ImportFrom)
+                  and node.module == "unicodedata"]
+    assert found == []
+
+
 def test_no_module_imports_a_private_name_of_another():
     """A name that starts with "_" is private to its module: no package
     module imports one from another."""
@@ -347,3 +371,65 @@ def _json_texts(draw):
 @given(text=st.one_of(_json_texts(), st.text(max_size=12)))
 def test_json_object_equals_json_loads_version(text):
     assert _outcome(json_object, text) == _outcome(_json_object_oracle, text)
+
+
+_CGJ = "\u034f"
+
+
+def _longest_run(text):
+    """The longest run of non-starters in the canonical decomposition."""
+    longest = run = 0
+    for ch in unicodedata.normalize("NFD", text):
+        run = run + 1 if unicodedata.combining(ch) else 0
+        longest = max(longest, run)
+    return longest
+
+
+# Starters, precomposed letters that decompose into a starter and marks
+# ("Ǖ" and "ṩ" into two), marks of several classes, the two-mark
+# U+0344 and U+0F73, and mark runs long enough to pass 30 together.
+_MARK_TEXT = st.lists(st.one_of(
+    st.sampled_from(["a", "Z", " ", "\u00e4", "\u01d5", "\u1e69", "\u0f40",
+                     "\u0316", "\u0301", "\u0308", "\u0323", "\u0344",
+                     "\u0f71", "\u0f72", "\u0f73", _CGJ, "\u200b", "\u3042"]),
+    st.builds(lambda marks, n: marks * n,
+              st.sampled_from(["\u0316\u0301", "\u0301", "\u0f73",
+                               "\u0344\u0316"]),
+              st.integers(1, 24))), max_size=8).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_MARK_TEXT)
+def test_nfc_is_plain_nfc_on_stream_safe_text(text):
+    """On text whose decomposition holds no run of more than 30
+    non-starters, nfc is exactly unicodedata.normalize("NFC", ...).
+    Otherwise it differs by the joiners alone: with them taken out, the
+    output is canonically equivalent to the input. Either way the output
+    is NFC and nfc leaves it unchanged."""
+    out = nfc(text)
+    if _longest_run(text) <= 30:
+        assert out == unicodedata.normalize("NFC", text)
+    else:
+        assert out.count(_CGJ) > text.count(_CGJ)
+        assert unicodedata.normalize("NFC", out.replace(_CGJ, "")) == \
+            unicodedata.normalize("NFC", text.replace(_CGJ, ""))
+    assert unicodedata.is_normalized("NFC", out)
+    assert _longest_run(out) <= 30
+    assert nfc(out) == out
+
+
+def test_nfc_long_run_candidates_are_sound():
+    """nfc scans only text with 14 code points at or above U+0300 in a
+    row. That holds every run of more than 30 non-starters as long as each
+    character whose decomposition begins with a non-starter is at or above
+    U+0300 and is at most 2 of them, and the character before a run adds
+    at most 3: checked here against this Python's Unicode database."""
+    for cp in range(sys.maxunicode + 1):
+        if 0xD800 <= cp <= 0xDFFF:
+            continue
+        marks = [unicodedata.combining(c) != 0
+                 for c in unicodedata.normalize("NFD", chr(cp))]
+        if all(marks):
+            assert len(marks) <= 2 and cp >= 0x300, hex(cp)
+        else:
+            assert not marks[0] and marks[::-1].index(False) <= 3, hex(cp)

@@ -15,6 +15,7 @@ import unicodedata
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slt_toolkit.corpus import nfc
 from slt_toolkit.normalize import (
     AbbrevTable,
     _CHAR_MAP,
@@ -508,6 +509,22 @@ def test_normalize_form_independent_nfc_and_idempotent(pieces):
     assert normalize_text(unicodedata.normalize("NFD", text)) == out
     assert unicodedata.is_normalized("NFC", out)
     assert not any(unicodedata.category(ch) == "Cf" for ch in out)
+    assert normalize_text(out) == out
+
+
+@pytest.mark.parametrize("marks", [31, 60, 1_000])
+def test_nfc_and_normalize_idempotent_on_long_mark_runs(marks):
+    """Marks of classes 220 and 230 in turn, which NFC must reorder: a run
+    of more than 30 gets U+034F after each 30, and normalize_text keeps
+    it. Two runs of 20 that meet once a format character is deleted get
+    one too. A second pass changes neither output."""
+    run = ("\u0316\u0301" * marks)[:marks]
+    text = f"Z{run} 3 Mrd.{run} x{run[:20]}\u200b{run[:20]}"
+    once = nfc(text)
+    assert once.count("\u034f") == 2 * ((marks - 1) // 30)
+    assert nfc(once) == once
+    out = normalize_text(text)
+    assert out.count("\u034f") == 2 * ((marks - 1) // 30) + 1
     assert normalize_text(out) == out
 
 

@@ -74,9 +74,11 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Utterance("", "x"), CorpusError, "utterance id must be nonempty"),
     (lambda: Utterance("a", "x", duration_s=-1.0), CorpusError,
-     "duration_s must be >= 0, got -1.0"),
+     "duration_s must be a finite number >= 0, got -1.0"),
     (lambda: Utterance("a", "x", duration_s=float("nan")), CorpusError,
-     "duration_s must be >= 0, got nan"),
+     "duration_s must be a finite number >= 0, got nan"),
+    (lambda: Utterance("a", "x", duration_s=float("inf")), CorpusError,
+     "duration_s must be a finite number >= 0, got inf"),
     (lambda: AbbrevTable({"z.B.": ""}), ValueError,
      "abbreviation keys and values must be nonempty"),
     (lambda: AbbrevTable({"1.": "erstens"}), ValueError,
@@ -99,7 +101,7 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
     (lambda: AbbrevTable({"z.B.": "zum Beispiel"})._replace(entries={"": "x"}),
      ValueError, "abbreviation keys and values must be nonempty"),
 ], ids=["utterance-id", "utterance-duration", "utterance-nan-duration",
-        "abbrev-empty",
+        "utterance-inf-duration", "abbrev-empty",
         "abbrev-digit-key", "abbrev-arabic-indic-digit-key",
         "abbrev-trailing-space", "abbrev-leading-tab", "abbrev-blank-key",
         "abbrev-digit-value", "abbrev-arabic-indic-digit-value",
