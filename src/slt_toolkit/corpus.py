@@ -2,9 +2,11 @@
 
 Corpora are stored as JSON Lines (one utterance object per line); hypothesis
 and reference files are plain text with one segment per line. Both formats
-are UTF-8, accept LF or CRLF on read and emit LF on write. Every other line
-file, user files and the data files shipped in ``DATA`` alike, is read and
-parsed by ``parse_lines``: this module is the package's only file I/O.
+are UTF-8, accept LF or CRLF on read and emit LF on write. ``Utterance``
+checks every field of a corpus line, so a record built in code obeys the
+rules of one read from a file. Every other line file, user files and the
+data files shipped in ``DATA`` alike, is read and parsed by
+``parse_lines``: this module is the package's only file I/O.
 Every word list, a stop list or a language profile, is built and checked
 by ``function_words`` alone. Every text the package puts in NFC goes
 through ``nfc``, which bounds the work of hostile combining-mark runs.
@@ -16,16 +18,11 @@ import json
 import re
 import sys
 import unicodedata
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
-
-class Source(Enum):
-    SRF = "SRF"
-    FN = "FN"
-    LEX = "LEX"
-    OTHER = "OTHER"
+# The source codes of a corpus, in the order ``stats`` reports them.
+SOURCES = ("SRF", "FN", "LEX", "OTHER")
 
 
 class CorpusError(ValueError):
@@ -45,22 +42,40 @@ class Checked:
 class _UtteranceFields(NamedTuple):
     id: str
     text: str
-    source: Source
+    source: str
     duration_s: Optional[float]
 
 
 class Utterance(Checked, _UtteranceFields):
-    """One subtitle line; the id is nonempty and a duration is a finite
-    number >= 0, as a corpus file can hold it."""
+    """One subtitle line, checked as a corpus line is: a nonempty string
+    id, a string text, a source code of ``SOURCES`` (None reads as
+    "OTHER") and a duration that is None or a finite number >= 0, not a
+    boolean, kept as a float. The checks run in a fixed order, so a line
+    with several faults reports the same one first."""
     __slots__ = ()
 
-    def __new__(cls, id: str, text: str, source: Source = Source.OTHER,
+    def __new__(cls, id: str, text: str, source: Optional[str] = "OTHER",
                 duration_s: Optional[float] = None) -> "Utterance":
+        if type(id) is not str:
+            raise CorpusError("field 'id' must be a string")
+        if type(text) is not str:
+            raise CorpusError("field 'text' must be a string")
+        if source is None:
+            source = "OTHER"
+        elif type(source) is not str:
+            raise CorpusError("field 'source' must be a string")
+        if duration_s is not None:
+            # type(True) is bool; abs() of NaN, the infinities and integers
+            # beyond the float range fails the comparison.
+            if type(duration_s) not in (int, float) or \
+                    not abs(duration_s) <= sys.float_info.max:
+                raise CorpusError("field 'duration_s' must be a finite number")
+            duration_s = float(duration_s)
+        if source not in SOURCES:
+            raise CorpusError(f"unknown source '{source}'")
         if not id:
             raise CorpusError("utterance id must be nonempty")
-        # NaN fails both comparisons.
-        if duration_s is not None and \
-                not 0 <= duration_s <= sys.float_info.max:
+        if duration_s is not None and duration_s < 0:
             raise CorpusError(f"duration_s must be a finite number >= 0, "
                               f"got {duration_s}")
         return tuple.__new__(cls, (id, text, source, duration_s))
@@ -182,8 +197,9 @@ def parse_lines(path: str | Path, parse: Callable[[str], object]
 # A \u escape in U+D800..U+DFFF, which most ASCII-escaped text lacks: a
 # lone surrogate decodes, but no UTF-8 encodes it.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-# (value, end) of the JSON value at the start of a text.
-_decode_prefix = json.JSONDecoder().raw_decode
+# (value, end) of the JSON value at index 0 of a text, or StopIteration
+# when none starts there: the scanner of raw_decode, without its frame.
+_scan_prefix = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def json_object(text: str) -> dict:
@@ -192,8 +208,8 @@ def json_object(text: str) -> dict:
     # A text that is one JSON value and nothing else takes one C call;
     # json.loads skips white space around the value and words errors.
     try:
-        obj, end = _decode_prefix(text)
-    except (ValueError, RecursionError):
+        obj, end = _scan_prefix(text, 0)
+    except (StopIteration, ValueError, RecursionError):
         end = -1
     try:
         if end != len(text):
@@ -211,42 +227,10 @@ def json_object(text: str) -> dict:
     return obj
 
 
-_REQUIRED = object()
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
-
-
-def json_field(obj: dict, name: str, kind: type, default=_REQUIRED):
-    """Field ``name`` of a parsed JSON object, checked against ``kind``:
-    ``str``; ``int``, not a boolean; ``float``, any finite number but not a
-    boolean, returned as a float.
-
-    An absent or null field gives ``default`` and, without one, is an
-    error: a CorpusError that names the field, placed by the caller.
-    """
-    value = obj.get(name)
-    if value is None and default is not _REQUIRED:
-        return default
-    if kind is float:
-        # Excludes NaN, the infinities and integers beyond the float range.
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif type(value) is kind:  # type(True) is bool, not int
-        return value
-    raise CorpusError(f"field '{name}' must be {_KIND_NAMES[kind]}")
-
-
-_SOURCES = {source.value: source for source in Source}
-
-
 def _utterance(line: str) -> Utterance:
     obj = json_object(line)
-    id = json_field(obj, "id", str)
-    text = json_field(obj, "text", str)
-    source = json_field(obj, "source", str, "OTHER")
-    duration = json_field(obj, "duration_s", float, None)
-    if source not in _SOURCES:
-        raise CorpusError(f"unknown source '{source}'")
-    return Utterance(id, text, _SOURCES[source], duration)
+    return Utterance(obj.get("id"), obj.get("text"), obj.get("source"),
+                     obj.get("duration_s"))
 
 
 def load_corpus(path: str | Path) -> tuple[Utterance, ...]:
@@ -261,16 +245,26 @@ def load_corpus(path: str | Path) -> tuple[Utterance, ...]:
     return tuple(utt for _, utt in parsed)
 
 
-# One JSON Lines record; non-ASCII characters, U+2028 included, stay raw.
-# Every record is built afresh from strings and numbers, so it holds no
-# cycle to look for.
-jsonl_line = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+# One JSON Lines record, as json.dumps(obj, ensure_ascii=False) gives it:
+# non-ASCII characters, U+2028 included, stay raw. Every record is built
+# afresh from strings and numbers, so it holds no cycle to look for. The C
+# encoder is built once, where JSONEncoder.encode builds one per call.
+if json.encoder.c_make_encoder is None:
+    jsonl_line = json.JSONEncoder(ensure_ascii=False,
+                                  check_circular=False).encode
+else:
+    _encode_chunks = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring,
+        None, ": ", ", ", False, False, True)
+
+    def jsonl_line(obj) -> str:
+        return "".join(_encode_chunks(obj, 0))
 
 
 def write_corpus(corpus: Iterable[Utterance], path: str | Path) -> None:
     lines = []
     for utt in corpus:
-        obj: dict = {"id": utt.id, "text": utt.text, "source": utt.source.value}
+        obj: dict = {"id": utt.id, "text": utt.text, "source": utt.source}
         if utt.duration_s is not None:
             obj["duration_s"] = utt.duration_s
         lines.append(jsonl_line(obj))
@@ -285,5 +279,5 @@ def load_segments(path: str | Path) -> tuple[str, ...]:
 def write_segments(segments: Iterable[str], path: str | Path) -> None:
     """One UTF-8 line per segment, ended by LF on every platform. The text
     is encoded before the file is opened: a failed write leaves no file."""
-    data = "".join(line + "\n" for line in segments).encode("utf-8")
+    data = "\n".join([*segments, ""]).encode("utf-8")
     Path(path).write_bytes(data)

@@ -5,7 +5,9 @@ with stride 8 over 224x224 input after gray padding (20% left/right, 7.5%
 top/bottom), 1024 dims per window. Mouth features are one 768-dim vector
 per frame over 96x96 crops, so a mouth sequence is as long as its clip and
 needs no plan. No pixels are touched here; the plans are emitted as data
-for downstream extractors.
+for downstream extractors. ``plan_windows`` checks the types of its
+arguments as a manifest line's fields, so a plan built in code obeys the
+rules of one read from a file.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import json_field, json_object, parse_lines
+from .corpus import json_object, parse_lines
 
 
 # Gray padding as factors of the frame: 20% left and right, 7.5% top and
@@ -66,8 +68,15 @@ def plan_windows(frame_count: int, width: int | None = None,
     every full window, and the frames after the last one are counted as
     uncovered. When width and height are given, padding geometry is
     filled in; when neither is, the plan carries the target box with unit
-    scale; one without the other is an error.
+    scale; one without the other is an error. ``frame_count`` is an int
+    and ``width`` and ``height`` are ints or None, never booleans.
     """
+    if type(frame_count) is not int:  # type(True) is bool, not int
+        raise ValueError("field 'frame_count' must be an integer")
+    if width is not None and type(width) is not int:
+        raise ValueError("field 'width' must be an integer")
+    if height is not None and type(height) is not int:
+        raise ValueError("field 'height' must be an integer")
     if frame_count < 0:
         raise ValueError("frame_count must be >= 0")
     if frame_count > MAX_FRAME_COUNT:
@@ -95,9 +104,9 @@ def plan_manifest(path: str | Path) -> list[tuple[str, WindowPlan]]:
     """(id, plan) per JSONL manifest line; errors name the file and line."""
     def parse(line: str) -> tuple[str, WindowPlan]:
         obj = json_object(line)
+        if type(id := obj.get("id")) is not str:
+            raise ValueError("field 'id' must be a string")
         # A global looked up per call: a wrapper set on the module sees it.
-        return (json_field(obj, "id", str),
-                plan_windows(json_field(obj, "frame_count", int),
-                             json_field(obj, "width", int, None),
-                             json_field(obj, "height", int, None)))
+        return id, plan_windows(obj.get("frame_count"), obj.get("width"),
+                                obj.get("height"))
     return [plan for _, plan in parse_lines(path, parse)]

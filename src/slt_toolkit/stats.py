@@ -13,7 +13,7 @@ from collections import Counter
 from itertools import chain
 from typing import NamedTuple, Sequence
 
-from .corpus import Source, Utterance
+from .corpus import SOURCES, Utterance
 
 
 class SliceStats(NamedTuple):
@@ -24,12 +24,11 @@ class SliceStats(NamedTuple):
 
 
 class CorpusStats(NamedTuple):
-    per_source: dict[Source, SliceStats]
+    per_source: dict[str, SliceStats]
     total: SliceStats
 
     def to_dict(self) -> dict:
-        out = {src.value: stats._asdict()
-               for src, stats in self.per_source.items()}
+        out = {src: stats._asdict() for src, stats in self.per_source.items()}
         out["Total"] = self.total._asdict()
         return out
 
@@ -50,8 +49,9 @@ def vocab_stats(corpus: Sequence[Utterance]) -> CorpusStats:
     whole corpus in its order, as one slice's hours do."""
     per_source = {}
     total: Counter = Counter()
-    for source in Source:
-        members = [u for u in corpus if u.source is source]
+    for source in SOURCES:
+        # Decoded strings are not interned: == where "is" would miss.
+        members = [u for u in corpus if u.source == source]
         if members:
             # Split and counted in C, one text at a time: a split of all
             # texts joined would hold every token of the slice at once.
@@ -85,8 +85,8 @@ def compare_stats(raw: CorpusStats, clean: CorpusStats) -> list[FieldDelta]:
 
 
 def format_stats_table(stats: CorpusStats) -> str:
-    sources = sorted(stats.per_source, key=lambda s: s.value)
-    header = ["", *[s.value for s in sources], "Total"]
+    sources = sorted(stats.per_source)
+    header = ["", *sources, "Total"]
     rows = [header]
     columns = [*[stats.per_source[s] for s in sources], stats.total]
     rows.append(["Videos", *[str(c.video_count) for c in columns]])

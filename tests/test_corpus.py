@@ -3,6 +3,7 @@
 import ast
 import json
 import re
+import subprocess
 import sys
 import unicodedata
 from pathlib import Path
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slt_toolkit.corpus import (
+    SOURCES,
     CorpusError,
-    Source,
     Utterance,
     function_words,
     json_object,
+    jsonl_line,
     load_corpus,
     load_segments,
     nfc,
@@ -33,7 +35,7 @@ def test_load_corpus_basic(tmp_path):
     assert len(corpus) == 2
     assert corpus[0].id == "a"
     assert corpus[0].text == "hallo"
-    assert corpus[0].source is Source.OTHER
+    assert corpus[0].source == "OTHER"
     assert corpus[1].duration_s == 2.0
 
 
@@ -109,8 +111,8 @@ def test_load_corpus_unknown_fields_ignored(tmp_path):
 
 def test_corpus_roundtrip(tmp_path):
     corpus = (
-        Utterance("a", "tab\there \"quoted\"", Source.SRF, 1.5),
-        Utterance("b", "zweite zeile", Source.FN),
+        Utterance("a", "tab\there \"quoted\"", "SRF", 1.5),
+        Utterance("b", "zweite zeile", "FN"),
     )
     path = tmp_path / "out.jsonl"
     write_corpus(corpus, path)
@@ -122,12 +124,34 @@ def test_corpus_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
 def test_corpus_roundtrip_unicode_line_separators(tmp_path, sep):
-    corpus = (Utterance("a", f"vor{sep}nach", Source.SRF),
+    corpus = (Utterance("a", f"vor{sep}nach", "SRF"),
               Utterance("b", "zweite zeile"))
     path = tmp_path / "out.jsonl"
     write_corpus(corpus, path)
     assert [u.text for u in load_corpus(path)] == [f"vor{sep}nach",
                                                    "zweite zeile"]
+
+
+# Values of every JSON type a field can be given, right or wrong.
+_FIELD_VALUES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(SOURCES), st.text(st.sampled_from("SRFNLEXO"),
+                                      max_size=4),
+    st.none(), st.booleans(), st.integers(), st.floats())
+
+
+@settings(max_examples=500, deadline=None)
+@given(args=st.lists(_FIELD_VALUES, min_size=2, max_size=4))
+def test_utterance_is_rejected_or_round_trips(tmp_path_factory, args):
+    """A record built in code obeys the typed fields of a corpus line: it
+    is rejected, or it comes back equal from the file it writes."""
+    try:
+        utt = Utterance(*args)
+    except CorpusError:
+        return
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    write_corpus([utt], path)
+    assert load_corpus(path) == (utt,)
 
 
 def test_negative_duration_rejected():
@@ -145,6 +169,46 @@ def test_load_corpus_bad_field_names_file_and_line(tmp_path, fields):
                     encoding="utf-8")
     with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 2: "):
         load_corpus(path)
+
+
+# JSON values of every kind a record holds: text with line separators and
+# lone surrogates, integers, floats at their edges, booleans, null, lists.
+_RECORD_VALUES = st.recursive(
+    st.text(max_size=6) | st.sampled_from(["\u2028", "\ud800", "\x00\x1f"])
+    | st.integers() | st.floats()
+    | st.sampled_from([0.0, -0.0, float("inf"), -float("inf"), 1e16])
+    | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(record=st.dictionaries(st.text(max_size=4), _RECORD_VALUES,
+                              max_size=4))
+def test_jsonl_line_equals_json_dumps(record):
+    assert jsonl_line(record) == json.dumps(record, ensure_ascii=False)
+
+
+# Records as JSON text, which both interpreters decode alike.
+_RECORDS = ('[{"id": "a", "text": "\u00e4 \u2028 \\"x\\"",'
+            ' "n": [1, -0.0, 1e16], "ok": true, "none": null,'
+            ' "inf": -Infinity}, {}]')
+
+
+def test_jsonl_line_without_the_c_encoder():
+    """Without the C accelerator of the json module, jsonl_line falls back
+    to JSONEncoder.encode and writes the same lines."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import json, json.encoder, sys\n"
+            "json.encoder.c_make_encoder = None\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from slt_toolkit.corpus import jsonl_line\n"
+            "assert jsonl_line.__name__ == 'encode'\n"
+            "for record in json.loads(sys.argv[1]):\n"
+            "    print(jsonl_line(record))\n")
+    out = subprocess.run([sys.executable, "-c", code, _RECORDS], check=True,
+                         capture_output=True, encoding="utf-8", timeout=60)
+    assert out.stdout == "".join(
+        jsonl_line(r) + "\n" for r in json.loads(_RECORDS))
 
 
 def test_load_segments_basic(tmp_path):

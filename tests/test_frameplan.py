@@ -71,6 +71,23 @@ def test_invalid_dimensions():
         plan_padding(100, -1)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((True,), "frame_count"),
+    ((3.5,), "frame_count"),
+    ((None,), "frame_count"),
+    ((100, True, 2), "width"),
+    ((100, 1920.0, 1080), "width"),
+    ((100, 1920, "1080"), "height"),
+    ((-1, 2.0, 2), "width"),  # types are checked before values
+])
+def test_plan_windows_checks_field_types(args, field):
+    """A plan built in code obeys the manifest's typed fields: an int frame
+    count and int or absent dimensions, never a boolean or a float."""
+    with pytest.raises(ValueError,
+                       match=f"^field '{field}' must be an integer$"):
+        plan_windows(*args)
+
+
 def test_dimensions_padded_beyond_float_range():
     with pytest.raises(ValueError, match="too large"):
         plan_padding(10 ** 400, 100)

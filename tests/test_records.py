@@ -8,7 +8,7 @@ import re
 import pytest
 
 from slt_toolkit.cleaning import CleanOutcome, RuleName, Verdict
-from slt_toolkit.corpus import CorpusError, Source, Utterance
+from slt_toolkit.corpus import CorpusError, Utterance
 from slt_toolkit.frameplan import WindowPlan
 from slt_toolkit.metrics import BleuScore, CandidateScores, \
     SelectionReport
@@ -21,7 +21,7 @@ _SLICE = SliceStats(1, 0.5, 2, 1)
 # Record type, every field as a keyword in declaration order, and one
 # field with another value.
 RECORDS = [
-    (Utterance, dict(id="a", text="x", source=Source.SRF, duration_s=1.5),
+    (Utterance, dict(id="a", text="x", source="SRF", duration_s=1.5),
      ("text", "y")),
     (CleanOutcome, dict(id="a", verdict=Verdict.EDITED,
                         hits=((RuleName.ASTERISK_SOUND, "*x*"),), text="y"),
@@ -37,7 +37,7 @@ RECORDS = [
     (SelectionReport, dict(candidates=(), winner="a"), ("winner", "b")),
     (SliceStats, dict(video_count=1, hours=0.5, vocabulary=2, singletons=1),
      ("singletons", 2)),
-    (CorpusStats, dict(per_source={Source.SRF: _SLICE}, total=_SLICE),
+    (CorpusStats, dict(per_source={"SRF": _SLICE}, total=_SLICE),
      ("per_source", {})),
     (FieldDelta, dict(field="hours", raw=2.0, clean=1.5, delta=-0.5,
                       pct=-25.0, increased=False), ("pct", -24.0)),
@@ -76,9 +76,30 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
     (lambda: Utterance("a", "x", duration_s=-1.0), CorpusError,
      "duration_s must be a finite number >= 0, got -1.0"),
     (lambda: Utterance("a", "x", duration_s=float("nan")), CorpusError,
-     "duration_s must be a finite number >= 0, got nan"),
+     "field 'duration_s' must be a finite number"),
     (lambda: Utterance("a", "x", duration_s=float("inf")), CorpusError,
-     "duration_s must be a finite number >= 0, got inf"),
+     "field 'duration_s' must be a finite number"),
+    # Every field of the corpus line table, checked in a corpus line's
+    # order: the first fault is reported.
+    (lambda: Utterance(5, "t"), CorpusError, "field 'id' must be a string"),
+    (lambda: Utterance("a", None), CorpusError,
+     "field 'text' must be a string"),
+    (lambda: Utterance("", None), CorpusError,
+     "field 'text' must be a string"),
+    (lambda: Utterance("a", "t", 5), CorpusError,
+     "field 'source' must be a string"),
+    (lambda: Utterance("a", "t", duration_s=True), CorpusError,
+     "field 'duration_s' must be a finite number"),
+    (lambda: Utterance("a", "t", duration_s="3.5"), CorpusError,
+     "field 'duration_s' must be a finite number"),
+    (lambda: Utterance("a", "t", duration_s=10 ** 309), CorpusError,
+     "field 'duration_s' must be a finite number"),
+    (lambda: Utterance("", "t", "srf", -1), CorpusError,
+     "unknown source 'srf'"),
+    (lambda: Utterance("", "t", "SRF", True), CorpusError,
+     "field 'duration_s' must be a finite number"),
+    (lambda: Utterance("a", "t", duration_s=-1), CorpusError,
+     "duration_s must be a finite number >= 0, got -1.0"),
     (lambda: AbbrevTable({"z.B.": ""}), ValueError,
      "abbreviation keys and values must be nonempty"),
     (lambda: AbbrevTable({"1.": "erstens"}), ValueError,
@@ -101,7 +122,12 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
     (lambda: AbbrevTable({"z.B.": "zum Beispiel"})._replace(entries={"": "x"}),
      ValueError, "abbreviation keys and values must be nonempty"),
 ], ids=["utterance-id", "utterance-duration", "utterance-nan-duration",
-        "utterance-inf-duration", "abbrev-empty",
+        "utterance-inf-duration", "utterance-int-id", "utterance-null-text",
+        "utterance-text-before-id", "utterance-int-source",
+        "utterance-bool-duration", "utterance-string-duration",
+        "utterance-huge-int-duration", "utterance-unknown-source",
+        "utterance-duration-before-id", "utterance-int-negative-duration",
+        "abbrev-empty",
         "abbrev-digit-key", "abbrev-arabic-indic-digit-key",
         "abbrev-trailing-space", "abbrev-leading-tab", "abbrev-blank-key",
         "abbrev-digit-value", "abbrev-arabic-indic-digit-value",
