@@ -112,13 +112,7 @@ def detect_language(text: str, profiles: Mapping[Language, frozenset[str]]
     "d'" for FR). Returns the argmax language; ties (including empty text)
     break toward DE.
     """
-    return _language(nfc(text), profiles)
-
-
-def _language(text: str, profiles: Mapping[Language, frozenset[str]]
-              ) -> tuple[Language, dict[Language, float]]:
-    """``detect_language`` of a text already in NFC."""
-    tokens = text.lower().split()
+    tokens = nfc(text).lower().split()
     # Only tokens with a non-alphanumeric character are stripped, once for
     # all profiles: stripping every token costs more than the lookups.
     edged = [(t, _TOKEN_EDGE_RE.sub("", t))
@@ -146,12 +140,7 @@ def match_status_message(text: str, patterns: Iterable[str]) -> bool:
     form ``read_status_patterns``, ``default_status_patterns`` and
     ``clean_corpus`` give them: they are compared as they are, since
     putting each in NFC on every call would cost every utterance."""
-    return _is_status(nfc(text), patterns)
-
-
-def _is_status(text: str, patterns: Iterable[str]) -> bool:
-    """``match_status_message`` of a text already in NFC."""
-    trimmed = text.strip()
+    trimmed = nfc(text).strip()
     for pattern in patterns:
         if trimmed == pattern:
             return True
@@ -189,13 +178,11 @@ def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
         hits.append((RuleName.HASHTAG_START, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    # Rules 3 and 4 match the text in NFC, put in NFC once for both.
-    normal = nfc(text)
-    if _is_status(normal, status_patterns):
+    if match_status_message(text, status_patterns):
         hits.append((RuleName.STATUS_MESSAGE, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    lang, scores = _language(normal, profiles)
+    lang, scores = detect_language(text, profiles)
     if lang is not Language.DE and scores[lang] >= _FOREIGN_THRESHOLD:
         hits.append((RuleName.FOREIGN_SENTENCE, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))

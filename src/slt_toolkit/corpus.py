@@ -197,9 +197,8 @@ def parse_lines(path: str | Path, parse: Callable[[str], object]
 # A \u escape in U+D800..U+DFFF, which most ASCII-escaped text lacks: a
 # lone surrogate decodes, but no UTF-8 encodes it.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-# (value, end) of the JSON value at index 0 of a text, or StopIteration
-# when none starts there: the scanner of raw_decode, without its frame.
-_scan_prefix = json.scanner.make_scanner(json.JSONDecoder())
+# (value, end) of the JSON value at the start of a text.
+_decode_prefix = json.JSONDecoder().raw_decode
 
 
 def json_object(text: str) -> dict:
@@ -208,8 +207,8 @@ def json_object(text: str) -> dict:
     # A text that is one JSON value and nothing else takes one C call;
     # json.loads skips white space around the value and words errors.
     try:
-        obj, end = _scan_prefix(text, 0)
-    except (StopIteration, ValueError, RecursionError):
+        obj, end = _decode_prefix(text)
+    except (ValueError, RecursionError):
         end = -1
     try:
         if end != len(text):
@@ -245,20 +244,10 @@ def load_corpus(path: str | Path) -> tuple[Utterance, ...]:
     return tuple(utt for _, utt in parsed)
 
 
-# One JSON Lines record, as json.dumps(obj, ensure_ascii=False) gives it:
-# non-ASCII characters, U+2028 included, stay raw. Every record is built
-# afresh from strings and numbers, so it holds no cycle to look for. The C
-# encoder is built once, where JSONEncoder.encode builds one per call.
-if json.encoder.c_make_encoder is None:
-    jsonl_line = json.JSONEncoder(ensure_ascii=False,
-                                  check_circular=False).encode
-else:
-    _encode_chunks = json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring,
-        None, ": ", ", ", False, False, True)
-
-    def jsonl_line(obj) -> str:
-        return "".join(_encode_chunks(obj, 0))
+# One JSON Lines record; non-ASCII characters, U+2028 included, stay raw.
+# Every record is built afresh from strings and numbers, so it holds no
+# cycle to look for.
+jsonl_line = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
 def write_corpus(corpus: Iterable[Utterance], path: str | Path) -> None:

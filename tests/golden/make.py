@@ -3,11 +3,10 @@
     PYTHONPATH=src python3 tests/golden/make.py
 
 Runs every golden case with the package on the path and writes its outputs
-next to the inputs; ``clean.txt``, the input of ``normalize``, is written
-from the new ``clean.jsonl`` first. Review the diff before committing it.
+next to the inputs, in the order of ``CASES``: ``normalize`` reads the new
+``clean.jsonl``. Review the diff before committing it.
 """
 
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -22,13 +21,6 @@ def main() -> None:
         for name in CASES:
             for file, data in run_case(name, Path(tmp)).items():
                 (GOLDEN / file).write_bytes(data)
-            if name == "clean":
-                # Split on "\n" alone: a text may hold U+2028 raw.
-                texts = [json.loads(line)["text"] for line in
-                         (GOLDEN / "clean.jsonl").read_text("utf-8")
-                         .split("\n") if line]
-                (GOLDEN / "clean.txt").write_text(
-                    "".join(t + "\n" for t in texts), encoding="utf-8")
 
 
 if __name__ == "__main__":

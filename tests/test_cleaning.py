@@ -7,7 +7,6 @@ import unicodedata
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slt_toolkit import cleaning
 from slt_toolkit.cleaning import (
     Language,
     RuleName,
@@ -24,22 +23,6 @@ from slt_toolkit.corpus import Utterance
 
 def _corpus(texts):
     return tuple(Utterance(f"u{i}", t) for i, t in enumerate(texts))
-
-
-def test_clean_puts_each_text_in_nfc_once(monkeypatch):
-    """Rules 3 and 4 share one NFC of a text that reaches rule 4."""
-    default_status_patterns(), default_profiles()  # built before counting
-    calls = []
-
-    def counting_nfc(text):
-        calls.append(text)
-        return unicodedata.normalize("NFC", text)
-
-    monkeypatch.setattr(cleaning, "nfc", counting_nfc)
-    text = "Die Stra\u00dfe ist gesperrt."
-    _, [outcome] = clean_corpus(_corpus([text]))
-    assert outcome.verdict is Verdict.KEPT
-    assert calls == [text]
 
 
 def test_status_message_dropped():

@@ -3,7 +3,6 @@
 import ast
 import json
 import re
-import subprocess
 import sys
 import unicodedata
 from pathlib import Path
@@ -186,29 +185,6 @@ _RECORD_VALUES = st.recursive(
                               max_size=4))
 def test_jsonl_line_equals_json_dumps(record):
     assert jsonl_line(record) == json.dumps(record, ensure_ascii=False)
-
-
-# Records as JSON text, which both interpreters decode alike.
-_RECORDS = ('[{"id": "a", "text": "\u00e4 \u2028 \\"x\\"",'
-            ' "n": [1, -0.0, 1e16], "ok": true, "none": null,'
-            ' "inf": -Infinity}, {}]')
-
-
-def test_jsonl_line_without_the_c_encoder():
-    """Without the C accelerator of the json module, jsonl_line falls back
-    to JSONEncoder.encode and writes the same lines."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import json, json.encoder, sys\n"
-            "json.encoder.c_make_encoder = None\n"
-            f"sys.path.insert(0, {str(src)!r})\n"
-            "from slt_toolkit.corpus import jsonl_line\n"
-            "assert jsonl_line.__name__ == 'encode'\n"
-            "for record in json.loads(sys.argv[1]):\n"
-            "    print(jsonl_line(record))\n")
-    out = subprocess.run([sys.executable, "-c", code, _RECORDS], check=True,
-                         capture_output=True, encoding="utf-8", timeout=60)
-    assert out.stdout == "".join(
-        jsonl_line(r) + "\n" for r in json.loads(_RECORDS))
 
 
 def test_load_segments_basic(tmp_path):

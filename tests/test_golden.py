@@ -2,9 +2,10 @@
 under ``tests/golden/``, gives exactly the bytes checked in beside it.
 
 The input is ``benchmarks/generate.py``'s ``make_prep(random.Random(1), dir,
-n=100)``: ``raw.jsonl`` and ``clips.jsonl``; ``clean.txt``, the texts of
-``clean.jsonl``, is the input of ``normalize``. After a deliberate change
-of output, ``python3 tests/golden/make.py`` rewrites the expected files.
+n=100)``: ``raw.jsonl`` and ``clips.jsonl``. The input of ``normalize`` is
+the texts of the expected ``clean.jsonl``, written to the output directory
+first. After a deliberate change of output, ``python3 tests/golden/make.py``
+rewrites the expected files.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from slt_toolkit import cli
+from slt_toolkit.corpus import load_corpus, write_segments
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,7 +26,7 @@ CASES = {
     "clean": (["clean", "--in", "{in}/raw.jsonl", "--out", "{out}/clean.jsonl",
                "--report", "{out}/report.jsonl"],
               ("clean.jsonl", "report.jsonl")),
-    "normalize": (["normalize", "--in", "{in}/clean.txt",
+    "normalize": (["normalize", "--in", "{out}/clean.txt",
                    "--out", "{out}/norm.txt"], ("norm.txt",)),
     "stats": (["stats", "--in", "{in}/raw.jsonl",
                "--compare", "{in}/clean.jsonl", "--json"], ("stats.json",)),
@@ -37,6 +39,9 @@ STDOUT_NAME = "stats.json"
 def run_case(name: str, out: Path) -> dict[str, bytes]:
     """The output files of one case, by name, written to ``out``."""
     argv, outputs = CASES[name]
+    if name == "normalize":
+        texts = [utt.text for utt in load_corpus(GOLDEN / "clean.jsonl")]
+        write_segments(texts, out / "clean.txt")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(io.StringIO()):
