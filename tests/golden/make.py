@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python3 tests/golden/make.py
 
-Runs every golden case with the package on the path and writes its outputs
-next to the inputs, in the order of ``CASES``: ``normalize`` reads the new
-``clean.jsonl``. Review the diff before committing it.
+Runs every golden case with the package on the path, in one shard, and
+writes its outputs next to the inputs, in the order of ``CASES``:
+``normalize`` reads the new ``clean.jsonl``. The inputs stay as they are.
+Review the diff before committing it.
 """
 
 import sys
