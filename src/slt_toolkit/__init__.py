@@ -7,4 +7,4 @@ Import each name from the submodule that defines it, for example
 ``from slt_toolkit.metrics import bleu``.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -48,25 +48,14 @@ class CleanOutcome(NamedTuple):
     text: str | None = None  # surviving (possibly edited) text, None if dropped
 
 
-class Language(Enum):
-    DE = "DE"
-    FR = "FR"
-    EN = "EN"
-
-    # Members compare by identity, so the identity hash agrees with
-    # equality; Enum's own __hash__ is Python code, run on every lookup of
-    # the per-utterance scores.
-    __hash__ = object.__hash__
-
-
 @cache
-def default_profiles() -> Mapping[Language, frozenset[str]]:
-    """Each language's bundled function words, in the order DE, FR, EN;
-    built once per process and shared, read-only, by all callers."""
+def default_profiles() -> Mapping[str, frozenset[str]]:
+    """Each language's bundled function words by its code: "DE", "FR" and
+    "EN", in that order, built once per process and shared read-only."""
     return MappingProxyType({
-        Language.DE: function_words(DATA / "stopwords_de.txt"),
-        Language.FR: function_words(DATA / "function_words_fr.txt"),
-        Language.EN: function_words(DATA / "function_words_en.txt"),
+        "DE": function_words(DATA / "stopwords_de.txt"),
+        "FR": function_words(DATA / "function_words_fr.txt"),
+        "EN": function_words(DATA / "function_words_en.txt"),
     })
 
 
@@ -103,21 +92,21 @@ _CUE_RUN_RE = re.compile(r"(?:[ \t]*\*[^*]*\*)+[ \t]*")
 _TOKEN_EDGE_RE = re.compile(r"^\W+|\W+$")
 
 
-def detect_language(text: str, profiles: Mapping[Language, frozenset[str]]
-                    ) -> tuple[Language, dict[Language, float]]:
+def detect_language(text: str, profiles: Mapping[str, frozenset[str]]
+                    ) -> tuple[str, dict[str, float]]:
     """Score = fraction of whitespace tokens found in each profile's word set.
 
     A token is found if it is in the set as written or with its leading and
     trailing non-word characters removed ("the," and "in." count for EN,
-    "d'" for FR). Returns the argmax language; ties (including empty text)
-    break toward DE.
+    "d'" for FR). Returns the code of the argmax language and the scores by
+    code; ties (including empty text) break toward "DE".
     """
     tokens = nfc(text).lower().split()
     # Only tokens with a non-alphanumeric character are stripped, once for
     # all profiles: stripping every token costs more than the lookups.
     edged = [(t, _TOKEN_EDGE_RE.sub("", t))
              for t in filterfalse(str.isalnum, tokens)]
-    scores: dict[Language, float] = {}
+    scores: dict[str, float] = {}
     for lang, words in profiles.items():
         if tokens:
             hits = sum(map(words.__contains__, tokens))
@@ -126,8 +115,8 @@ def detect_language(text: str, profiles: Mapping[Language, frozenset[str]]
             scores[lang] = hits / len(tokens)
         else:
             scores[lang] = 0.0
-    best = Language.DE
-    best_score = scores.get(Language.DE, 0.0)
+    best = "DE"
+    best_score = scores.get("DE", 0.0)
     for lang, score in scores.items():
         if score > best_score:
             best, best_score = lang, score
@@ -164,7 +153,7 @@ def strip_asterisk_spans(text: str) -> tuple[str, list[str]]:
     return _CUE_RUN_RE.sub(" ", text).strip(), matches
 
 
-def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
+def _clean_one(utt: Utterance, profiles: Mapping[str, frozenset[str]],
                status_patterns: tuple[str, ...]) -> CleanOutcome:
     text, spans = strip_asterisk_spans(utt.text)
     hits: list[tuple[RuleName, str]] = []
@@ -183,7 +172,7 @@ def _clean_one(utt: Utterance, profiles: Mapping[Language, frozenset[str]],
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
     lang, scores = detect_language(text, profiles)
-    if lang is not Language.DE and scores[lang] >= _FOREIGN_THRESHOLD:
+    if lang != "DE" and scores[lang] >= _FOREIGN_THRESHOLD:
         hits.append((RuleName.FOREIGN_SENTENCE, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 

@@ -256,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError) as exc:  # CorpusError, ScoringError
+    except (ValueError, OSError) as exc:  # CorpusError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

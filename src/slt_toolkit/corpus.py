@@ -232,15 +232,23 @@ def _utterance(line: str) -> Utterance:
                      obj.get("duration_s"))
 
 
+def check_unique_ids(path: str | Path, ids: Iterable[tuple[int, str]]
+                     ) -> None:
+    """Raise a CorpusError that names ``path`` and both lines at the first
+    id of the (line number, id) pairs that repeats an earlier one: the ids
+    of a corpus or a manifest are unique."""
+    first_lines: dict[str, int] = {}
+    for lineno, id in ids:
+        if (first := first_lines.setdefault(id, lineno)) != lineno:
+            raise CorpusError(f"{path}: duplicate id '{id}' "
+                              f"(lines {first} and {lineno})")
+
+
 def load_corpus(path: str | Path) -> tuple[Utterance, ...]:
     """Read a JSONL corpus; one object per line with at least id and text.
     Ids are unique: a repeated id is an error that names both lines."""
     parsed = parse_lines(path, _utterance)
-    first_lines: dict[str, int] = {}
-    for lineno, utt in parsed:
-        if (first := first_lines.setdefault(utt.id, lineno)) != lineno:
-            raise CorpusError(f"{path}: duplicate id '{utt.id}' "
-                              f"(lines {first} and {lineno})")
+    check_unique_ids(path, ((lineno, utt.id) for lineno, utt in parsed))
     return tuple(utt for _, utt in parsed)
 
 
@@ -251,6 +259,11 @@ jsonl_line = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
 def write_corpus(corpus: Iterable[Utterance], path: str | Path) -> None:
+    """Write a JSONL corpus that ``load_corpus`` reads back equal. A
+    repeated id is refused before the file is opened, with the lines it
+    would have taken."""
+    corpus = tuple(corpus)
+    check_unique_ids(path, enumerate((utt.id for utt in corpus), start=1))
     lines = []
     for utt in corpus:
         obj: dict = {"id": utt.id, "text": utt.text, "source": utt.source}

@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import json_object, parse_lines
+from .corpus import check_unique_ids, json_object, parse_lines
 
 
 # Gray padding as factors of the frame: 20% left and right, 7.5% top and
@@ -101,12 +101,17 @@ def plan_windows(frame_count: int, width: int | None = None,
 
 
 def plan_manifest(path: str | Path) -> list[tuple[str, WindowPlan]]:
-    """(id, plan) per JSONL manifest line; errors name the file and line."""
+    """(id, plan) per JSONL manifest line; errors name the file and line.
+    Ids are nonempty and unique, as in a corpus."""
     def parse(line: str) -> tuple[str, WindowPlan]:
         obj = json_object(line)
         if type(id := obj.get("id")) is not str:
             raise ValueError("field 'id' must be a string")
+        if not id:
+            raise ValueError("clip id must be nonempty")
         # A global looked up per call: a wrapper set on the module sees it.
         return id, plan_windows(obj.get("frame_count"), obj.get("width"),
                                 obj.get("height"))
-    return [plan for _, plan in parse_lines(path, parse)]
+    parsed = parse_lines(path, parse)
+    check_unique_ids(path, ((lineno, id) for lineno, (id, _) in parsed))
+    return [plan for _, plan in parsed]

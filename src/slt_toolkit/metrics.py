@@ -36,10 +36,6 @@ Smoothing = Literal["none", "exp"]
 Segments = Sequence[str]
 
 
-class ScoringError(ValueError):
-    """Raised on misaligned or empty scoring inputs."""
-
-
 def _check_smoothing(smoothing: str) -> None:
     allowed = get_args(Smoothing)
     if smoothing not in allowed:
@@ -83,7 +79,7 @@ def _score(matches: list[int], totals: list[int], ref_len: int,
     zero_score = False
     for n in range(NGRAM_ORDER):
         if totals[n] == 0:
-            # No n-grams of this order: vacuous, excluded from the mean.
+            # No n-grams of this order: vacuous, precision 1 in the mean.
             precisions[n] = 1.0
             continue
         if matches[n] > 0:
@@ -120,10 +116,10 @@ def _accumulate(labelled: Sequence[tuple[str, Segments]], refs: Segments,
     hyp_sets = [list(hyps) for _, hyps in labelled]
     for (label, _), hyp_lines in zip(labelled, hyp_sets):
         if len(hyp_lines) != len(ref_lines):
-            raise ScoringError(f"{label}: {len(hyp_lines)} hypothesis "
-                               f"segments vs {len(ref_lines)} references")
+            raise ValueError(f"{label}: {len(hyp_lines)} hypothesis "
+                             f"segments vs {len(ref_lines)} references")
     if not any(line.split() for line in ref_lines):
-        raise ScoringError("reference corpus is empty")
+        raise ValueError("reference corpus is empty")
     from .shards import forked_map
     # Per view: NGRAM_ORDER matches and totals per set, and the ref length.
     width = NGRAM_ORDER * len(hyp_sets)
@@ -241,11 +237,11 @@ def select_checkpoint(candidates: Sequence[tuple[str, Segments]],
     then lexicographic name."""
     _check_smoothing(smoothing)
     if not candidates:
-        raise ScoringError("need at least one candidate")
+        raise ValueError("need at least one candidate")
     seen = set()
     for name, _ in candidates:
         if name in seen:
-            raise ScoringError(f"duplicate candidate name '{name}'")
+            raise ValueError(f"duplicate candidate name '{name}'")
         seen.add(name)
     full, reduced = _accumulate(
         [(f"candidate '{name}'", hyps) for name, hyps in candidates], refs,

@@ -593,8 +593,8 @@ def test_jsonl_fuzz_exits_0_or_names_the_file_and_line(tmp_path, command):
         elif command == "clean --status":
             assert [u.id for u in load_corpus(out)] in ([], ["a"])
         elif command == "plan":
-            assert all("id" in json.loads(line)
-                       for line in load_segments(out))
+            ids = [json.loads(line)["id"] for line in load_segments(out)]
+            assert all(ids) and len(set(ids)) == len(ids)
         elif command.startswith("normalize"):
             assert len(load_segments(out)) == len(
                 load_segments(inp if command == "normalize --in" else segs))
@@ -828,6 +828,24 @@ def test_plan_manifest_error_names_file_and_line(tmp_path, capsys):
                         encoding="utf-8")
     assert main(["plan", "--manifest", str(manifest)]) == 2
     assert f"{manifest}: line 3: malformed JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ids, message", [
+    (["", ""], "line 1: clip id must be nonempty"),
+    (["a", "a"], "duplicate id 'a' (lines 1 and 2)"),
+], ids=["empty", "repeated"])
+def test_plan_manifest_bad_ids_are_data_errors(tmp_path, capsys, ids,
+                                                message):
+    manifest, out = tmp_path / "m.jsonl", tmp_path / "plans.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"id": id, "frame_count": 40 * n}) + "\n"
+        for n, id in enumerate(ids, start=1)), encoding="utf-8")
+    assert main(["plan", "--manifest", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {manifest}: {message}\n"
+    assert captured.out == ""
+    assert main(["plan", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_plan_manifest_frames_above_bound_names_line(tmp_path, capsys):

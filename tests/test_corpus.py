@@ -8,7 +8,7 @@ import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slt_toolkit.corpus import (
     SOURCES,
@@ -129,6 +129,31 @@ def test_corpus_roundtrip_unicode_line_separators(tmp_path, sep):
     write_corpus(corpus, path)
     assert [u.text for u in load_corpus(path)] == [f"vor{sep}nach",
                                                    "zweite zeile"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.sampled_from("abcd"), max_size=8))
+@example(ids=["a", "a"])
+def test_write_corpus_refuses_what_load_corpus_refuses(tmp_path_factory,
+                                                        ids):
+    """``write_corpus`` refuses a repeated id with the message that
+    ``load_corpus`` gives the file it would have written, and leaves no
+    file; it writes every other corpus, from a generator too, so that it
+    reads back equal."""
+    corpus = tuple(Utterance(id, "t") for id in ids)
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    if len(set(ids)) == len(ids):
+        write_corpus(iter(corpus), path)
+        assert load_corpus(path) == corpus
+        return
+    write_segments([f'{{"id":"{id}","text":"t"}}' for id in ids], path)
+    with pytest.raises(CorpusError) as loaded:
+        load_corpus(path)
+    path.unlink()
+    with pytest.raises(CorpusError) as written:
+        write_corpus(iter(corpus), path)
+    assert str(written.value) == str(loaded.value)
+    assert not path.exists()
 
 
 # Values of every JSON type a field can be given, right or wrong.

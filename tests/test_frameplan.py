@@ -115,6 +115,23 @@ def test_plan_manifest_error_names_file_and_line(tmp_path):
         plan_manifest(manifest)
 
 
+@pytest.mark.parametrize("lines, message", [
+    (['{"id":"a","frame_count":1}', '{"id":"","frame_count":1}'],
+     "line 2: clip id must be nonempty"),
+    (['{"id":"a","frame_count":40}', "", '{"id":"b","frame_count":40}',
+      '{"id":"a","frame_count":80}'], "duplicate id 'a' (lines 1 and 4)"),
+], ids=["empty", "repeated"])
+def test_plan_manifest_ids_obey_the_corpus_id_rule(tmp_path, lines, message):
+    """Manifest ids are nonempty and unique, as corpus ids are; a repeat
+    names both lines, blank lines counted."""
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+    with pytest.raises(CorpusError, match="^" + re.escape(
+            f"{manifest}: {message}") + "$"):
+        plan_manifest(manifest)
+
+
 def test_single_window():
     plan = plan_windows(64)
     assert plan.window_starts == (0,)
