@@ -81,8 +81,9 @@ def _first_diff(expected: bytes, actual: bytes, limit: int = 20) -> str:
     return "\n".join(line for _, line in zip(range(limit), lines))
 
 
-@pytest.mark.parametrize("shard_count", [1, 2])
-@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("name, shard_count", [
+    pytest.param(name, k, id=name if k == 1 else f"{name}-2-shards")
+    for k in (1, 2) for name in CASES])
 def test_golden_output(name, shard_count, tmp_path):
     for file, actual in run_case(name, tmp_path, shard_count).items():
         expected = (GOLDEN / file).read_bytes()
