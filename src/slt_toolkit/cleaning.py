@@ -101,7 +101,13 @@ def detect_language(text: str, profiles: Mapping[str, frozenset[str]]
     "d'" for FR). Returns the code of the argmax language and the scores by
     code; ties (including empty text) break toward "DE".
     """
-    tokens = nfc(text).lower().split()
+    return _language(nfc(text), profiles)
+
+
+def _language(text: str, profiles: Mapping[str, frozenset[str]]
+              ) -> tuple[str, dict[str, float]]:
+    """``detect_language`` of a text already in NFC."""
+    tokens = text.lower().split()
     # Only tokens with a non-alphanumeric character are stripped, once for
     # all profiles: stripping every token costs more than the lookups.
     edged = [(t, _TOKEN_EDGE_RE.sub("", t))
@@ -129,7 +135,12 @@ def match_status_message(text: str, patterns: Iterable[str]) -> bool:
     form ``read_status_patterns``, ``default_status_patterns`` and
     ``clean_corpus`` give them: they are compared as they are, since
     putting each in NFC on every call would cost every utterance."""
-    trimmed = nfc(text).strip()
+    return _is_status(nfc(text), patterns)
+
+
+def _is_status(text: str, patterns: Iterable[str]) -> bool:
+    """``match_status_message`` of a text already in NFC."""
+    trimmed = text.strip()
     for pattern in patterns:
         if trimmed == pattern:
             return True
@@ -167,11 +178,13 @@ def _clean_one(utt: Utterance, profiles: Mapping[str, frozenset[str]],
         hits.append((RuleName.HASHTAG_START, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    if match_status_message(text, status_patterns):
+    # Rules 3 and 4 match the same text in NFC.
+    normal = nfc(text)
+    if _is_status(normal, status_patterns):
         hits.append((RuleName.STATUS_MESSAGE, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))
 
-    lang, scores = detect_language(text, profiles)
+    lang, scores = _language(normal, profiles)
     if lang != "DE" and scores[lang] >= _FOREIGN_THRESHOLD:
         hits.append((RuleName.FOREIGN_SENTENCE, text.strip()))
         return CleanOutcome(utt.id, Verdict.DROPPED, tuple(hits))

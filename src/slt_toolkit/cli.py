@@ -15,8 +15,8 @@ import sys
 from itertools import chain, repeat
 from pathlib import Path
 
-from .corpus import CorpusError, jsonl_line, load_corpus, load_segments, \
-    write_corpus, write_segments
+from .corpus import jsonl_line, load_corpus, load_segments, write_corpus, \
+    write_segments
 from .normalize import AbbrevTable, default_abbrev_table, normalize_text
 
 SCHEMA_VERSION = 1
@@ -61,7 +61,7 @@ def _references(path):
     names it."""
     refs = load_segments(path)
     if not any(map(str.split, refs)):
-        raise CorpusError(f"{path}: reference corpus is empty")
+        raise ValueError(f"{path}: reference corpus is empty")
     return refs
 
 
@@ -70,7 +70,7 @@ def _hypotheses(path, refs, ref_path):
     a data error that names both files."""
     hyps = load_segments(path)
     if len(hyps) != len(refs):
-        raise CorpusError(
+        raise ValueError(
             f"{path}: {len(hyps)} segments vs {len(refs)} in {ref_path}")
     return hyps
 
@@ -82,7 +82,7 @@ def _corpus_stats(path):
     result = stats.vocab_stats(load_corpus(path))
     # Durations are >= 0: no per-source sum exceeds a finite total.
     if result.total.hours == _INF:
-        raise CorpusError(
+        raise ValueError(
             f"{path}: duration_s values sum past the float range")
     return result
 
@@ -126,8 +126,8 @@ def _cmd_stats(args) -> None:
         other = _corpus_stats(args.compare)
         deltas = stats.compare_stats(result, other)
         if any(d.pct == _INF for d in deltas):  # a tiny raw hours total
-            raise CorpusError(f"{args.compare}: the change in hours against "
-                              f"{args.input} is past the float range")
+            raise ValueError(f"{args.compare}: the change in hours against "
+                             f"{args.input} is past the float range")
         if args.json:
             _emit_json({"raw": result.to_dict(), "clean": other.to_dict(),
                         "deltas": [d._asdict() for d in deltas]})
@@ -256,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError) as exc:  # CorpusError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -25,10 +25,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 SOURCES = ("SRF", "FN", "LEX", "OTHER")
 
 
-class CorpusError(ValueError):
-    """Raised on malformed corpus or segment files."""
-
-
 class Checked:
     """Mixin, first base of a tuple record whose ``__new__`` validates:
     ``_make``, and so ``_replace``, build through ``__new__`` as well."""
@@ -57,27 +53,27 @@ class Utterance(Checked, _UtteranceFields):
     def __new__(cls, id: str, text: str, source: Optional[str] = "OTHER",
                 duration_s: Optional[float] = None) -> "Utterance":
         if type(id) is not str:
-            raise CorpusError("field 'id' must be a string")
+            raise ValueError("field 'id' must be a string")
         if type(text) is not str:
-            raise CorpusError("field 'text' must be a string")
+            raise ValueError("field 'text' must be a string")
         if source is None:
             source = "OTHER"
         elif type(source) is not str:
-            raise CorpusError("field 'source' must be a string")
+            raise ValueError("field 'source' must be a string")
         if duration_s is not None:
             # type(True) is bool; abs() of NaN, the infinities and integers
             # beyond the float range fails the comparison.
             if type(duration_s) not in (int, float) or \
                     not abs(duration_s) <= sys.float_info.max:
-                raise CorpusError("field 'duration_s' must be a finite number")
+                raise ValueError("field 'duration_s' must be a finite number")
             duration_s = float(duration_s)
         if source not in SOURCES:
-            raise CorpusError(f"unknown source '{source}'")
+            raise ValueError(f"unknown source '{source}'")
         if not id:
-            raise CorpusError("utterance id must be nonempty")
+            raise ValueError("utterance id must be nonempty")
         if duration_s is not None and duration_s < 0:
-            raise CorpusError(f"duration_s must be a finite number >= 0, "
-                              f"got {duration_s}")
+            raise ValueError(f"duration_s must be a finite number >= 0, "
+                             f"got {duration_s}")
         return tuple.__new__(cls, (id, text, source, duration_s))
 
 
@@ -90,7 +86,7 @@ def read_text(path: str | Path) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusError(
+        raise ValueError(
             f"{path}: line {line}: not valid UTF-8: {exc}") from exc
     return text[1:] if text.startswith("\ufeff") else text
 
@@ -181,16 +177,16 @@ def parse_lines(path: str | Path, parse: Callable[[str], object]
                 ) -> list[tuple[int, object]]:
     """(line number, ``parse(line)``) for each nonblank line of the file at
     ``path``, a user file or one under ``DATA``. A ValueError from ``parse``
-    becomes a CorpusError that names the path and the line: this is the
-    one loop that parses a file's lines, and so the one place that says
-    where in a file a line is wrong."""
+    is raised again with the path and the line in front of its message:
+    this is the one loop that parses a file's lines, and so the one place
+    that says where in a file a line is wrong."""
     parsed = []
     for lineno, line in enumerate(load_segments(path), start=1):
         if line and not line.isspace():
             try:
                 parsed.append((lineno, parse(line)))
             except ValueError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return parsed
 
 
@@ -216,13 +212,13 @@ def json_object(text: str) -> dict:
         if _SURROGATE_ESCAPE.search(text):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
-        raise CorpusError(f"malformed JSON: {exc.msg}") from None
+        raise ValueError(f"malformed JSON: {exc.msg}") from None
     except RecursionError:
-        raise CorpusError("JSON nested too deeply") from None
+        raise ValueError("JSON nested too deeply") from None
     except UnicodeEncodeError:
-        raise CorpusError("string is not valid Unicode") from None
+        raise ValueError("string is not valid Unicode") from None
     if not isinstance(obj, dict):
-        raise CorpusError("expected a JSON object")
+        raise ValueError("expected a JSON object")
     return obj
 
 
@@ -234,14 +230,14 @@ def _utterance(line: str) -> Utterance:
 
 def check_unique_ids(path: str | Path, ids: Iterable[tuple[int, str]]
                      ) -> None:
-    """Raise a CorpusError that names ``path`` and both lines at the first
+    """Raise a ValueError that names ``path`` and both lines at the first
     id of the (line number, id) pairs that repeats an earlier one: the ids
     of a corpus or a manifest are unique."""
     first_lines: dict[str, int] = {}
     for lineno, id in ids:
         if (first := first_lines.setdefault(id, lineno)) != lineno:
-            raise CorpusError(f"{path}: duplicate id '{id}' "
-                              f"(lines {first} and {lineno})")
+            raise ValueError(f"{path}: duplicate id '{id}' "
+                             f"(lines {first} and {lineno})")
 
 
 def load_corpus(path: str | Path) -> tuple[Utterance, ...]:

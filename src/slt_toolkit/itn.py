@@ -39,15 +39,23 @@ _INNER_HEADS |= {tail + head
 
 
 def contract_numbers_de(text: str) -> str:
-    """Replace maximal runs of German number words with digit strings."""
+    """Replace maximal runs of German number words with digit strings. A
+    digit word ("null" to "neun") right after "komma", or right after such
+    a digit, is one digit of a spoken decimal and is contracted alone, so
+    "drei komma fünf millionen" gives "3 komma 5 millionen"."""
     tokens = text.split()
     n = len(tokens)
     out: list[str] = []
     i = 0
+    fraction = False  # the token before is "komma" or a digit after it
     while i < n:
         token = tokens[i]
         end = i
-        if token[:3] in _START_HEADS:
+        if fraction and (value := parse_number_de(token)) is not None \
+                and value < 10:
+            end = i + 1
+        elif token[:3] in _START_HEADS:
+            fraction = False
             # Gate the window first, then parse its runs from the longest
             # down: the first run that parses is the longest one that does.
             end = i + 1
@@ -66,6 +74,7 @@ def contract_numbers_de(text: str) -> str:
             i = end
         else:
             out.append(token)
+            fraction = token == "komma"
             i += 1
     return " ".join(out)
 

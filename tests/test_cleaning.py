@@ -7,6 +7,7 @@ import unicodedata
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from slt_toolkit import cleaning
 from slt_toolkit.cleaning import (
     RuleName,
     Verdict,
@@ -17,7 +18,7 @@ from slt_toolkit.cleaning import (
     match_status_message,
     strip_asterisk_spans,
 )
-from slt_toolkit.corpus import Utterance
+from slt_toolkit.corpus import Utterance, nfc
 
 
 def _corpus(texts):
@@ -247,6 +248,27 @@ def test_language_scores_do_not_depend_on_the_unicode_form(text, language):
     assert nfd != text
     assert detect_language(nfd, profiles) == detect_language(text, profiles)
     assert detect_language(text, profiles)[0] == language
+
+
+def test_clean_puts_each_text_in_nfc_once(monkeypatch):
+    """Rules 3 and 4 match one NFC of the text: a line that reaches rule 4
+    is put in NFC once."""
+    default_status_patterns()  # read before the count starts
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return nfc(text)
+
+    monkeypatch.setattr(cleaning, "nfc", counted)
+    texts = ["Er würde für die Kinder über alles tun.", "the cat is on the mat",
+             "Das Menü à la carte für zwei.", "*lacht* der Hund bellt"]
+    _, outcomes = clean_corpus(_corpus(texts))
+    assert [o.verdict for o in outcomes] == \
+        [Verdict.KEPT, Verdict.DROPPED, Verdict.KEPT, Verdict.EDITED]
+    assert calls == ["Er würde für die Kinder über alles tun.",
+                     "the cat is on the mat", "Das Menü à la carte für zwei.",
+                     "der Hund bellt"]
 
 
 def test_determinism():

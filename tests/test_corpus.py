@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from slt_toolkit.corpus import (
     SOURCES,
-    CorpusError,
     Utterance,
     function_words,
     json_object,
@@ -48,7 +47,7 @@ def test_load_corpus_duplicate_id(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id":"a","text":"x"}\n{"id":"a","text":"y"}\n',
                     encoding="utf-8")
-    with pytest.raises(CorpusError, match="duplicate id 'a'.*1.*2"):
+    with pytest.raises(ValueError, match="duplicate id 'a'.*1.*2"):
         load_corpus(path)
 
 
@@ -56,7 +55,7 @@ def test_load_corpus_duplicate_id_counts_blank_lines(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id":"a","text":"x"}\n\n{"id":"a","text":"y"}\n',
                     encoding="utf-8")
-    with pytest.raises(CorpusError, match=re.escape(
+    with pytest.raises(ValueError, match=re.escape(
             f"{path}: duplicate id 'a' (lines 1 and 3)")):
         load_corpus(path)
 
@@ -83,7 +82,7 @@ def test_load_corpus_duplicate_names_first_repeat(tmp_path_factory, layout):
     # The id whose second occurrence comes first, at its first two lines.
     first, second = min(repeated, key=lambda lines: lines[1])[:2]
     id = layout[first - 1]
-    with pytest.raises(CorpusError, match="^" + re.escape(
+    with pytest.raises(ValueError, match="^" + re.escape(
             f"{path}: duplicate id '{id}' (lines {first} and {second})")):
         load_corpus(path)
 
@@ -91,14 +90,14 @@ def test_load_corpus_duplicate_names_first_repeat(tmp_path_factory, layout):
 def test_load_corpus_malformed_line_names_lineno(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id":"a","text":"x"}\n{oops\n', encoding="utf-8")
-    with pytest.raises(CorpusError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         load_corpus(path)
 
 
 def test_load_corpus_invalid_utf8(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_bytes(b'{"id":"a","text":"\xff"}\n')
-    with pytest.raises(CorpusError, match="UTF-8"):
+    with pytest.raises(ValueError, match="UTF-8"):
         load_corpus(path)
 
 
@@ -147,10 +146,10 @@ def test_write_corpus_refuses_what_load_corpus_refuses(tmp_path_factory,
         assert load_corpus(path) == corpus
         return
     write_segments([f'{{"id":"{id}","text":"t"}}' for id in ids], path)
-    with pytest.raises(CorpusError) as loaded:
+    with pytest.raises(ValueError) as loaded:
         load_corpus(path)
     path.unlink()
-    with pytest.raises(CorpusError) as written:
+    with pytest.raises(ValueError) as written:
         write_corpus(iter(corpus), path)
     assert str(written.value) == str(loaded.value)
     assert not path.exists()
@@ -171,7 +170,7 @@ def test_utterance_is_rejected_or_round_trips(tmp_path_factory, args):
     is rejected, or it comes back equal from the file it writes."""
     try:
         utt = Utterance(*args)
-    except CorpusError:
+    except ValueError:
         return
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
     write_corpus([utt], path)
@@ -179,7 +178,7 @@ def test_utterance_is_rejected_or_round_trips(tmp_path_factory, args):
 
 
 def test_negative_duration_rejected():
-    with pytest.raises(CorpusError):
+    with pytest.raises(ValueError):
         Utterance("a", "x", duration_s=-1.0)
 
 
@@ -191,7 +190,7 @@ def test_load_corpus_bad_field_names_file_and_line(tmp_path, fields):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id":"z","text":"ok"}\n{' + fields + '}\n',
                     encoding="utf-8")
-    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 2: "):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: "):
         load_corpus(path)
 
 
@@ -369,7 +368,7 @@ def test_function_words_in_nfc_and_a_bad_line_named(tmp_path):
     path.write_text(" Le\nE\u0301te\u0301\n\nla\n", encoding="utf-8")
     assert function_words(path) == {"le", "\u00e9t\u00e9", "la"}
     path.write_text("le\nla\n\na b\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match=re.escape(
+    with pytest.raises(ValueError, match=re.escape(
             f"{path}: line 4: invalid word: 'a b'") + "$"):
         function_words(path)
 
@@ -382,13 +381,13 @@ def _json_object_oracle(text):
         if re.search(r"\\u[dD][89a-fA-F]", text):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
-        raise CorpusError(f"malformed JSON: {exc.msg}") from None
+        raise ValueError(f"malformed JSON: {exc.msg}") from None
     except RecursionError:
-        raise CorpusError("JSON nested too deeply") from None
+        raise ValueError("JSON nested too deeply") from None
     except UnicodeEncodeError:
-        raise CorpusError("string is not valid Unicode") from None
+        raise ValueError("string is not valid Unicode") from None
     if not isinstance(obj, dict):
-        raise CorpusError("expected a JSON object")
+        raise ValueError("expected a JSON object")
     return obj
 
 
@@ -397,7 +396,7 @@ def _outcome(decode, text):
     error text."""
     try:
         return "value", repr(decode(text))
-    except CorpusError as exc:
+    except ValueError as exc:
         return "error", str(exc)
 
 

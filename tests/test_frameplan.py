@@ -7,7 +7,6 @@ import sys
 
 import pytest
 
-from slt_toolkit.corpus import CorpusError
 from slt_toolkit.frameplan import (
     MAX_FRAME_COUNT,
     plan_manifest,
@@ -110,7 +109,7 @@ def test_plan_manifest_error_names_file_and_line(tmp_path):
     manifest.write_text('{"id":"a","frame_count":1}\n'
                         '{"id":"b","frame_count":1,"width":0,"height":5}\n',
                         encoding="utf-8")
-    with pytest.raises(CorpusError,
+    with pytest.raises(ValueError,
                        match=f"^{re.escape(str(manifest))}: line 2: frame "):
         plan_manifest(manifest)
 
@@ -127,7 +126,7 @@ def test_plan_manifest_ids_obey_the_corpus_id_rule(tmp_path, lines, message):
     manifest = tmp_path / "m.jsonl"
     manifest.write_text("".join(line + "\n" for line in lines),
                         encoding="utf-8")
-    with pytest.raises(CorpusError, match="^" + re.escape(
+    with pytest.raises(ValueError, match="^" + re.escape(
             f"{manifest}: {message}") + "$"):
         plan_manifest(manifest)
 

@@ -12,6 +12,7 @@ from slt_toolkit.itn import (
     contract_numbers_de,
     restore_display,
 )
+from slt_toolkit.normalize import normalize_text
 from slt_toolkit.numbers_de import (
     MAX_NUMBER,
     _TABLE_EIN,
@@ -47,6 +48,36 @@ def test_split_number_is_not_cut():
 # Adjacent numbers are one run: a known limit.
 def test_adjacent_numbers_merge():
     assert contract_numbers_de("drei hundert zwei") == "302"
+
+
+def test_decimal_digits_are_contracted_one_by_one():
+    """Each digit word after "komma" is one digit of the fraction: the last
+    one is not joined to a scale word that follows."""
+    assert contract_numbers_de("achtzig komma zwei vier milliarden franken") \
+        == "80 komma 2 4 milliarden franken"
+    assert contract_numbers_de("drei komma fünf millionen einwohner") \
+        == "3 komma 5 millionen einwohner"
+    assert contract_numbers_de("drei komma vier eins milliarden") \
+        == "3 komma 4 1 milliarden"
+    assert contract_numbers_de("komma zwanzig millionen drei") \
+        == "komma 20000003"
+    assert contract_numbers_de("komma zwanzig drei millionen") \
+        == "komma 20 3000000"
+    assert restore_display(
+        "der kanton rechnet mit achtzig komma zwei vier milliarden franken"
+    ) == "Der kanton rechnet mit 80 komma 2 4 milliarden franken."
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, MAX_NUMBER), st.text("0123456789", min_size=1,
+                                           max_size=6))
+@example(37, "6")
+def test_spoken_decimal_before_a_scale_word(whole, fraction):
+    """A decimal that ``normalize`` spells comes back digit by digit, with
+    the scale word after it kept."""
+    spoken = normalize_text(f"{whole},{fraction} Milliarden")
+    assert contract_numbers_de(spoken) == \
+        f"{whole} komma {' '.join(fraction)} milliarden"
 
 
 _SCALE_WORD_RE = re.compile(r"(milliarden?|million(?:en)?|tausend)")
@@ -150,12 +181,20 @@ def test_restore_display_capitalizes_every_sentence():
 
 
 # Reference versions: every run of up to four adjacent tokens is parsed,
-# and sentence starts are found one character at a time.
+# a digit word after "komma" or after such a digit is taken alone, and
+# sentence starts are found one character at a time.
 def _contract_reference(text):
     tokens = text.split()
     out = []
     i = 0
+    fraction = False  # the token before is "komma" or a digit after it
     while i < len(tokens):
+        value = parse_number_de(tokens[i])
+        if fraction and value is not None and value < 10:
+            out.append(str(value))
+            i += 1
+            continue
+        fraction = tokens[i] == "komma"
         best_len = 0
         best_value = None
         for j in range(i, min(i + itn._MAX_RUN, len(tokens))):
@@ -197,7 +236,8 @@ _STANDALONE = st.sampled_from(["ein", "eine", "und", "null", "hundert",
                                "milliarde", "milliarden"])
 _PLAIN = st.one_of(
     st.sampled_from(["menschen", "uhr", "franken", "zwischen", "einer",
-                     "straße", "ß", "z", "wa", "nzig", "eins.", "Zwei"]),
+                     "straße", "ß", "z", "wa", "nzig", "eins.", "Zwei",
+                     "komma"]),
     st.text(st.sampled_from("adeinrsuzäßéİ.!?"), min_size=1, max_size=6))
 
 
@@ -241,6 +281,7 @@ def _itn_texts(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(_itn_texts())
+@example("drei komma fünf null millionen komma zwanzig drei tausend")
 def test_gated_itn_equals_reference(text):
     assert contract_numbers_de(text) == _contract_reference(text)
     assert restore_display(text) == _restore_reference(text)

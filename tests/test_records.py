@@ -8,7 +8,7 @@ import re
 import pytest
 
 from slt_toolkit.cleaning import CleanOutcome, RuleName, Verdict
-from slt_toolkit.corpus import CorpusError, Utterance
+from slt_toolkit.corpus import Utterance
 from slt_toolkit.frameplan import WindowPlan
 from slt_toolkit.metrics import BleuScore, CandidateScores, \
     SelectionReport
@@ -71,56 +71,52 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
                  "hold no digit")
 
 
-@pytest.mark.parametrize("build, error, message", [
-    (lambda: Utterance("", "x"), CorpusError, "utterance id must be nonempty"),
-    (lambda: Utterance("a", "x", duration_s=-1.0), CorpusError,
+@pytest.mark.parametrize("build, message", [
+    (lambda: Utterance("", "x"), "utterance id must be nonempty"),
+    (lambda: Utterance("a", "x", duration_s=-1.0),
      "duration_s must be a finite number >= 0, got -1.0"),
-    (lambda: Utterance("a", "x", duration_s=float("nan")), CorpusError,
+    (lambda: Utterance("a", "x", duration_s=float("nan")),
      "field 'duration_s' must be a finite number"),
-    (lambda: Utterance("a", "x", duration_s=float("inf")), CorpusError,
+    (lambda: Utterance("a", "x", duration_s=float("inf")),
      "field 'duration_s' must be a finite number"),
     # Every field of the corpus line table, checked in a corpus line's
     # order: the first fault is reported.
-    (lambda: Utterance(5, "t"), CorpusError, "field 'id' must be a string"),
-    (lambda: Utterance("a", None), CorpusError,
-     "field 'text' must be a string"),
-    (lambda: Utterance("", None), CorpusError,
-     "field 'text' must be a string"),
-    (lambda: Utterance("a", "t", 5), CorpusError,
-     "field 'source' must be a string"),
-    (lambda: Utterance("a", "t", duration_s=True), CorpusError,
+    (lambda: Utterance(5, "t"), "field 'id' must be a string"),
+    (lambda: Utterance("a", None), "field 'text' must be a string"),
+    (lambda: Utterance("", None), "field 'text' must be a string"),
+    (lambda: Utterance("a", "t", 5), "field 'source' must be a string"),
+    (lambda: Utterance("a", "t", duration_s=True),
      "field 'duration_s' must be a finite number"),
-    (lambda: Utterance("a", "t", duration_s="3.5"), CorpusError,
+    (lambda: Utterance("a", "t", duration_s="3.5"),
      "field 'duration_s' must be a finite number"),
-    (lambda: Utterance("a", "t", duration_s=10 ** 309), CorpusError,
+    (lambda: Utterance("a", "t", duration_s=10 ** 309),
      "field 'duration_s' must be a finite number"),
-    (lambda: Utterance("", "t", "srf", -1), CorpusError,
-     "unknown source 'srf'"),
-    (lambda: Utterance("", "t", "SRF", True), CorpusError,
+    (lambda: Utterance("", "t", "srf", -1), "unknown source 'srf'"),
+    (lambda: Utterance("", "t", "SRF", True),
      "field 'duration_s' must be a finite number"),
-    (lambda: Utterance("a", "t", duration_s=-1), CorpusError,
+    (lambda: Utterance("a", "t", duration_s=-1),
      "duration_s must be a finite number >= 0, got -1.0"),
-    (lambda: AbbrevTable({"z.B.": ""}), ValueError,
+    (lambda: AbbrevTable({"z.B.": ""}),
      "abbreviation keys and values must be nonempty"),
-    (lambda: AbbrevTable({"1.": "erstens"}), ValueError,
+    (lambda: AbbrevTable({"1.": "erstens"}),
      _ABBREV_RULES.format("'1.': 'erstens'")),
-    (lambda: AbbrevTable({"٣x": "drei"}), ValueError,
+    (lambda: AbbrevTable({"٣x": "drei"}),
      _ABBREV_RULES.format("'٣x': 'drei'")),
-    (lambda: AbbrevTable({"z.B. ": "zum Beispiel"}), ValueError,
+    (lambda: AbbrevTable({"z.B. ": "zum Beispiel"}),
      _ABBREV_RULES.format("'z.B. ': 'zum Beispiel'")),
-    (lambda: AbbrevTable({"\tusw.": "und so weiter"}), ValueError,
+    (lambda: AbbrevTable({"\tusw.": "und so weiter"}),
      _ABBREV_RULES.format("'\\tusw.': 'und so weiter'")),
-    (lambda: AbbrevTable({"\u3000": "x"}), ValueError,
+    (lambda: AbbrevTable({"\u3000": "x"}),
      _ABBREV_RULES.format("'\\u3000': 'x'")),
-    (lambda: AbbrevTable({"Nr.": "Nummer 1"}), ValueError,
+    (lambda: AbbrevTable({"Nr.": "Nummer 1"}),
      _ABBREV_RULES.format("'Nr.': 'Nummer 1'")),
-    (lambda: AbbrevTable({"Nr.": "Nummer ٣"}), ValueError,
+    (lambda: AbbrevTable({"Nr.": "Nummer ٣"}),
      _ABBREV_RULES.format("'Nr.': 'Nummer ٣'")),
     # _replace builds through the same checks.
-    (lambda: Utterance("a", "x")._replace(id=""), CorpusError,
+    (lambda: Utterance("a", "x")._replace(id=""),
      "utterance id must be nonempty"),
     (lambda: AbbrevTable({"z.B.": "zum Beispiel"})._replace(entries={"": "x"}),
-     ValueError, "abbreviation keys and values must be nonempty"),
+     "abbreviation keys and values must be nonempty"),
 ], ids=["utterance-id", "utterance-duration", "utterance-nan-duration",
         "utterance-inf-duration", "utterance-int-id", "utterance-null-text",
         "utterance-text-before-id", "utterance-int-source",
@@ -132,6 +128,6 @@ _ABBREV_RULES = ("invalid abbreviation {}: a key must not start with a digit "
         "abbrev-trailing-space", "abbrev-leading-tab", "abbrev-blank-key",
         "abbrev-digit-value", "abbrev-arabic-indic-digit-value",
         "utterance-replace", "abbrev-replace"])
-def test_record_validation_errors(build, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+def test_record_validation_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
