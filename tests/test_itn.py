@@ -180,9 +180,9 @@ def test_restore_display_capitalizes_every_sentence():
         "Ja. Nein! 42 Straßen? SS."
 
 
-# Reference versions: every run of up to four adjacent tokens is parsed,
-# a digit word after "komma" or after such a digit is taken alone, and
-# sentence starts are found one character at a time.
+# Reference versions: every run of up to ``_MAX_RUN`` adjacent tokens is
+# parsed, a digit word after "komma" or after such a digit is taken alone,
+# and sentence starts are found one character at a time.
 def _contract_reference(text):
     tokens = text.split()
     out = []
